@@ -224,6 +224,12 @@ def anharmonic_cooling_sums(tau: float, trunc: FockTruncation, spectrum, k: int)
     return float(w_an[:k].sum() / w_an.sum()), float(w_h[:k].sum() / w_h.sum())
 
 
+def _ladder(beta_e: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sector frequencies sqrt(n) and thermal weights (1 - e^{-bE}) e^{-bE (n-1)}, n = 1..n_max."""
+    n = np.arange(1, n_max + 1)
+    return np.sqrt(n), (1.0 - math.exp(-beta_e)) * np.exp(-beta_e * (n - 1))
+
+
 def jc_deexcitation(s, spectrum, trunc: FockTruncation):
     """De-excitation probability of the resonant exchange coupling at angle s.
 
@@ -231,11 +237,9 @@ def jc_deexcitation(s, spectrum, trunc: FockTruncation):
     at n_max; the neglected weight is bounded by trunc.tail_bound.  Accepts a
     scalar or an array of angles.
     """
-    beta_e = spectrum.beta * spectrum.gap
-    n = np.arange(1, trunc.n_max + 1)
-    weights = (1.0 - math.exp(-beta_e)) * np.exp(-beta_e * (n - 1))
+    roots, weights = _ladder(spectrum.beta * spectrum.gap, trunc.n_max)
     s_arr = np.asarray(s, dtype=float)
-    values = np.sin(np.multiply.outer(s_arr, np.sqrt(n))) ** 2 @ weights
+    values = np.sin(np.multiply.outer(s_arr, roots)) ** 2 @ weights
     return float(values) if np.isscalar(s) or s_arr.ndim == 0 else values
 
 
@@ -263,32 +267,98 @@ def _golden_max(f, lo: float, hi: float, iterations: int = 80) -> float:
     return (a + b) / 2.0
 
 
+# Width of a scan block in angle units: the bound loosens with the block's
+# half-width r, not with its point count, so a coarser grid gets fewer points
+# per block.
+_SCAN_WIDTH = 0.128
+# Largest angle-by-term matrix built at once, in elements.
+_SCAN_BATCH = 1 << 20
+
+
+def _value_and_slope(s: np.ndarray, roots: np.ndarray,
+                     weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(s) = sum_n w_n sin^2(s sqrt(n)) and f'(s) = sum_n w_n sqrt(n) sin(2 s sqrt(n))."""
+    value = np.empty(s.size)
+    slope = np.empty(s.size)
+    rows = max(1, _SCAN_BATCH // roots.size)
+    for start in range(0, s.size, rows):
+        theta = np.multiply.outer(s[start : start + rows], roots)
+        value[start : start + rows] = np.sin(theta) ** 2 @ weights
+        slope[start : start + rows] = np.sin(2.0 * theta) @ (weights * roots)
+    return value, slope
+
+
 def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTruncation,
-                              grid_step: float = 1e-3, chunk: int = 200_000) -> InteractionTime:
+                              grid_step: float = 1e-3) -> InteractionTime:
     """Maximize the de-excitation probability over a bounded window of angles.
 
-    The target is an almost-periodic sum with many local maxima, so a dense
-    global grid comes first; golden-section then polishes the winning bracket.
-    During the bracketing scan, ladder terms whose thermal weight sits below
-    float64 resolution are dropped (they cannot change a double); the
-    refinement stage evaluates the full truncation.  Deterministic for fixed
-    grid parameters.
+    The target f(s) = (1 - e^{-bE}) sum_n sin^2(s sqrt(n)) e^{-bE(n-1)} is an
+    almost-periodic sum with many local maxima, so a global scan of the grid
+    np.linspace(s_lo, s_hi, ceil((s_hi - s_lo) / grid_step) + 1) comes first;
+    golden-section search then polishes the bracket around the best grid point.
+
+    The scan returns exactly the dense-grid argmax (the first grid point of
+    largest value) without evaluating the whole grid.  The grid is cut into
+    blocks of consecutive points; a block with centre c and half-width r holds
+    no value above f(c) + |f'(c)| r + (sum_n w_n n) r^2, by Taylor's theorem
+    with |f''| / 2 <= sum_n w_n n, plus a slack that covers float64 rounding.
+    The block with the best f(c) is evaluated in full and its maximum becomes
+    a lower bound; only the blocks whose upper bound reaches it are evaluated.
+
+    During the scan, ladder terms whose thermal weight sits below float64
+    resolution are dropped (they cannot change a double); the refinement stage
+    evaluates the full truncation.  Deterministic for fixed grid parameters.
     """
+    if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
+        raise ValueError(f"angle window must be finite, got [{s_lo}, {s_hi}]")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step}")
     if not s_lo < s_hi:
         raise ValueError("need s_lo < s_hi")
     beta_e = spectrum.beta * spectrum.gap
     scan_cap = min(trunc.n_max, max(2, int(math.ceil(17.0 * math.log(10.0) / beta_e)) + 1))
     scan_trunc = FockTruncation.thermal(beta_e, scan_cap)
+    roots, weights = _ladder(beta_e, scan_cap)
     count = int(math.ceil((s_hi - s_lo) / grid_step)) + 1
     grid = np.linspace(s_lo, s_hi, count)
-    best_s, best_v = s_lo, -1.0
-    for start in range(0, count, chunk):
-        block = grid[start : start + chunk]
-        vals = jc_deexcitation(block, spectrum, scan_trunc)
+
+    # A multiple of four points, so that evaluating whole blocks places every
+    # grid point at the same offset modulo four within its matrix-vector
+    # product as a dense scan does; BLAS groups rows in fours and sums a
+    # leftover row in another order, which can move the last bit.
+    block = 4 * max(1, int(_SCAN_WIDTH / (4.0 * grid_step)))
+    firsts = grid[::block]
+    lasts = grid[np.minimum(np.arange(1, firsts.size + 1) * block, count) - 1]
+    centres = 0.5 * (firsts + lasts)
+    radii = np.maximum(centres - firsts, lasts - centres)
+    centre_value, centre_slope = _value_and_slope(centres, roots, weights)
+    # Float64 error of a computed f: the rounded arguments s sqrt(n) shift each
+    # term by up to eps |s| sqrt(n), and the slope's by 2 eps |s| n (times r,
+    # which is below 1 wherever the bound can prune at all); the sines and the
+    # sums add a few eps per term.
+    curvature = float(weights @ roots**2)
+    s_abs = max(abs(s_lo), abs(s_hi))
+    eps = np.finfo(float).eps
+    slack = 1e-12 + 8.0 * eps * (s_abs * (float(weights @ roots) + 2.0 * curvature) + scan_cap)
+    upper = centre_value + np.abs(centre_slope) * radii + curvature * radii**2 + slack
+
+    def block_points(blocks: np.ndarray) -> np.ndarray:
+        points = (blocks[:, None] * block + np.arange(block)).ravel()
+        return points[points < count]
+
+    best_block = block_points(np.array([int(np.argmax(centre_value))]))
+    lower = float(np.max(jc_deexcitation(grid[best_block], spectrum, scan_trunc)))
+    survivors = np.flatnonzero(upper >= lower)
+    best_i, best_v = 0, -1.0
+    per_batch = max(1, _SCAN_BATCH // (block * scan_cap))
+    for start in range(0, survivors.size, per_batch):
+        points = block_points(survivors[start : start + per_batch])
+        vals = jc_deexcitation(grid[points], spectrum, scan_trunc)
         i = int(np.argmax(vals))
         if vals[i] > best_v:
             best_v = float(vals[i])
-            best_s = float(block[i])
+            best_i = int(points[i])
+    best_s = float(grid[best_i])
     lo = max(s_lo, best_s - grid_step)
     hi = min(s_hi, best_s + grid_step)
     s_star = _golden_max(lambda s: jc_deexcitation(s, spectrum, trunc), lo, hi)

@@ -33,6 +33,7 @@ from xhbac import (
     u_beta_apply,
     upper_bound_G,
 )
+from xhbac import bosonic_sim
 
 QUBIT = EnergySpectrum((0.0, 1.0), 1.0)
 TRUNC = FockTruncation.thermal(1.0, 60)
@@ -181,6 +182,96 @@ def test_best_angle_in_the_short_window():
     best = optimize_interaction_time(QUBIT, 0.0, 10.0, TRUNC)
     assert best.s_star == pytest.approx(7.87, abs=0.05)
     assert best.probability < upper_bound_G(1.0)
+
+
+def _dense_interaction_time(spectrum, s_lo, s_hi, trunc, grid_step=1e-3):
+    """Reference optimizer that evaluates every point of the scan grid."""
+    beta_e = spectrum.beta * spectrum.gap
+    scan_cap = min(trunc.n_max, max(2, int(math.ceil(17.0 * math.log(10.0) / beta_e)) + 1))
+    scan_trunc = FockTruncation.thermal(beta_e, scan_cap)
+    count = int(math.ceil((s_hi - s_lo) / grid_step)) + 1
+    grid = np.linspace(s_lo, s_hi, count)
+    best_s, best_v = s_lo, -1.0
+    for start in range(0, count, 200_000):
+        block = grid[start : start + 200_000]
+        vals = jc_deexcitation(block, spectrum, scan_trunc)
+        i = int(np.argmax(vals))
+        if vals[i] > best_v:
+            best_v, best_s = float(vals[i]), float(block[i])
+    lo = max(s_lo, best_s - grid_step)
+    hi = min(s_hi, best_s + grid_step)
+    s_star = bosonic_sim._golden_max(lambda s: jc_deexcitation(s, spectrum, trunc), lo, hi)
+    value = jc_deexcitation(s_star, spectrum, trunc)
+    grid_value = jc_deexcitation(best_s, spectrum, trunc)
+    if value < grid_value:
+        s_star, value = best_s, grid_value
+    return s_star, value
+
+
+@pytest.mark.parametrize("beta_e, s_lo, s_hi, grid_step, n_max", [
+    (0.2, 0.0, 60.0, 1e-3, 200),
+    (1.0, 0.0, 300.0, 1e-3, 60),      # a window a few hundred long
+    (3.0, 0.0, 400.0, 1e-3, 60),
+    (40.0, 0.0, math.pi, 1e-3, 10),
+    (1.0, 2.0, 2.05, 1e-3, 60),       # shorter than one scan block
+    (0.2, 123.4, 123.45, 1e-3, 200),
+    (1.0, 123.4, 170.0, 1e-3, 60),    # s_lo > 0; 46601 points, a partial last block
+    (3.0, 17.0, 17.127, 1e-3, 60),    # exactly one full block
+    (1.0, 0.0, 3000.0, 1e-2, 60),     # coarse grid
+    (0.5, 40.0, 400.0, 0.3, 80),      # blocks of the minimum four points
+])
+def test_pruned_scan_equals_the_dense_grid_scan(beta_e, s_lo, s_hi, grid_step, n_max):
+    spectrum = EnergySpectrum((0.0, 1.0), beta_e)
+    trunc = FockTruncation.thermal(beta_e, n_max)
+    best = optimize_interaction_time(spectrum, s_lo, s_hi, trunc, grid_step=grid_step)
+    assert (best.s_star, best.probability) == _dense_interaction_time(
+        spectrum, s_lo, s_hi, trunc, grid_step)
+
+
+@settings(max_examples=25, deadline=None)
+@given(beta_e=st.floats(0.1, 50.0), s_lo=st.floats(0.0, 2000.0),
+       length=st.floats(1e-3, 5.0), grid_step=st.sampled_from([1e-3, 3e-3, 1e-2]))
+def test_pruned_scan_equals_the_dense_grid_scan_on_random_windows(beta_e, s_lo, length,
+                                                                   grid_step):
+    spectrum = EnergySpectrum((0.0, 1.0), beta_e)
+    trunc = FockTruncation.thermal(beta_e, 60)
+    best = optimize_interaction_time(spectrum, s_lo, s_lo + length, trunc, grid_step=grid_step)
+    assert (best.s_star, best.probability) == _dense_interaction_time(
+        spectrum, s_lo, s_lo + length, trunc, grid_step)
+
+
+def test_wide_window_optimum_is_pinned():
+    # the dense 5,000,001-point scan gave exactly these values
+    best = optimize_interaction_time(QUBIT, 0.0, 5000.0, TRUNC)
+    assert best.s_star == 2866.7394085658507
+    assert best.probability == 0.9625788816762492
+
+
+def test_pruned_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
+    angles = []
+
+    def counting(s, spectrum, trunc):
+        angles.append(np.size(s))
+        return jc_deexcitation(s, spectrum, trunc)
+
+    monkeypatch.setattr(bosonic_sim, "jc_deexcitation", counting)
+    optimize_interaction_time(QUBIT, 0.0, 300.0, TRUNC)
+    assert sum(angles) < 0.05 * 300_001
+
+
+@pytest.mark.parametrize("s_lo, s_hi, grid_step", [
+    (math.nan, 10.0, 1e-3),
+    (0.0, math.inf, 1e-3),
+    (-math.inf, 10.0, 1e-3),
+    (0.0, 10.0, 0.0),
+    (0.0, 10.0, -1e-3),
+    (0.0, 10.0, math.nan),
+    (0.0, 10.0, math.inf),
+    (10.0, 10.0, 1e-3),
+])
+def test_optimizer_rejects_bad_windows(s_lo, s_hi, grid_step):
+    with pytest.raises(ValueError):
+        optimize_interaction_time(QUBIT, s_lo, s_hi, TRUNC, grid_step=grid_step)
 
 
 def test_deexcitation_never_exceeds_the_ceiling(rng):

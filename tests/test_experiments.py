@@ -209,6 +209,7 @@ def test_cli_usage_errors(capsys):
     assert main(["query", "not-an-op"]) == 2
     assert main(["accept", "not-a-suite"]) == 2
     assert main(["query", "gibbs", "--E"]) == 2  # missing value
+    assert main(["query", "optimal-s", "--betaE", "1", "--hi", "inf"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["figure", "fig1"])
     assert exc.value.code == 2
