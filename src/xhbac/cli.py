@@ -228,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _figure_command(ns) -> int:
-    config = ExperimentConfig() if ns.config is None else ExperimentConfig.from_json(ns.config)
     overrides: dict[str, str] = {}
     for item in ns.set:
         if "=" not in item:
@@ -243,8 +242,9 @@ def _figure_command(ns) -> int:
     if ns.threads != 1:
         overrides["threads"] = str(ns.threads)
     try:
+        config = ExperimentConfig() if ns.config is None else ExperimentConfig.from_json(ns.config)
         config = config.with_overrides(overrides)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:

@@ -1,6 +1,7 @@
 """Experiment configuration: a flat dataclass loaded from JSON with flag overrides.
 
-Unknown keys are rejected so a typo cannot silently fall back to a default.
+Unknown keys are rejected so a typo cannot silently fall back to a default,
+and an angle window that no scan can cover is rejected on construction.
 Flag overrides always win over the file.
 """
 
@@ -59,6 +60,14 @@ class ExperimentConfig:
     out: str = ""
     seed: int = 0
     threads: int = 1
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.s_lo) and math.isfinite(self.s_hi)):
+            raise ValueError(f"angle window must be finite, got [{self.s_lo}, {self.s_hi}]")
+        if not self.s_lo < self.s_hi:
+            raise ValueError(f"need s_lo < s_hi, got [{self.s_lo}, {self.s_hi}]")
+        if not (math.isfinite(self.s_grid) and self.s_grid > 0.0):
+            raise ValueError(f"s_grid must be finite and positive, got {self.s_grid}")
 
     @classmethod
     def field_names(cls) -> set[str]:

@@ -24,11 +24,11 @@ from .thermal_core import (
     CompositeSpec,
     EnergySpectrum,
     _boltzmann_weights,
+    _curve_elbows,
+    _curve_heights,
     _level_array,
     _permutation_table,
     as_population,
-    beta_order,
-    beta_permutation,
     gibbs_state,
     maximally_active,
 )
@@ -107,13 +107,23 @@ def beta_opt_alpha(d: int, r: int = 1) -> np.ndarray:
 
 
 def optimal_round(p_system, spec) -> np.ndarray:
-    """One optimal cooling round: maximally active joint arrangement, extremal map, marginal."""
+    """One optimal cooling round: maximally active joint arrangement, extremal map, marginal.
+
+    The extremal map onto order alpha_opt fills the levels in that order up
+    to the arrangement's thermo-majorization curve: the cumulative joint
+    populations in alpha_opt-order are the curve's heights at
+    cumsum(w[alpha_opt]), so the image is read off the curve directly.
+    """
     spec = _as_composite(spec)
     joint = spec.joint_population(p_system)
     active = maximally_active(joint, spec)
-    pi = beta_order(active, spec)
     alpha = beta_opt_alpha(spec.d, spec.r)
-    out = beta_permutation(pi, alpha, spec) @ active
+    X, Y = _curve_elbows(active, spec)
+    targets = np.zeros(alpha.size + 1)
+    np.cumsum(_boltzmann_weights(spec)[alpha], out=targets[1:])
+    heights = _curve_heights(X, Y, targets)  # heights[0] = 0
+    out = np.empty(alpha.size)
+    out[alpha] = heights[1:] - heights[:-1]
     return spec.system_marginal(out)
 
 
@@ -164,31 +174,13 @@ def oracle_optimal_round(p_system, spec, max_dim: int = 8) -> OracleRound:
     if n > max_dim:
         raise ValueError(f"joint dimension {n} exceeds the enumeration guard {max_dim}")
     joint = spec.joint_population(p_system)
-    levels = _level_array(spec)
-    w = _boltzmann_weights(spec)
-    scale = np.exp(spec.beta * (levels - levels.max()))
-
-    perms = _permutation_table(n)
-    V = joint[perms]
-    order = np.argsort(-V * scale[None, :], axis=1, kind="stable")
-    sw = w[order]
-    sv = np.take_along_axis(V, order, axis=1)
-    X = np.cumsum(sw, axis=1)
-    Y = np.cumsum(sv, axis=1)
+    X, Y = _curve_elbows(joint[_permutation_table(n)], spec)
 
     # Curve height of every arrangement at the cumulative weight of the l+1
     # lowest system levels (the largest-weight level set of that size).
-    group_w = w.reshape(spec.d, spec.r).sum(axis=1)
-    targets = np.cumsum(group_w)
-    partial = np.empty(spec.d)
-    for l, x_target in enumerate(targets):
-        k = np.sum(X < x_target, axis=1)
-        k = np.minimum(k, n - 1)
-        x_prev = np.where(k > 0, np.take_along_axis(X, np.maximum(k - 1, 0)[:, None], 1)[:, 0], 0.0)
-        y_prev = np.where(k > 0, np.take_along_axis(Y, np.maximum(k - 1, 0)[:, None], 1)[:, 0], 0.0)
-        slope = np.take_along_axis(sv, k[:, None], 1)[:, 0] / np.take_along_axis(sw, k[:, None], 1)[:, 0]
-        heights = np.minimum(y_prev + slope * (x_target - x_prev), 1.0)
-        partial[l] = heights.max()
+    group_w = _boltzmann_weights(spec).reshape(spec.d, spec.r).sum(axis=1)
+    partial = np.array([np.minimum(_curve_heights(X, Y, x_target), 1.0).max()
+                        for x_target in np.cumsum(group_w)])
     return OracleRound(ground=float(partial[0]), partial_sums=partial)
 
 

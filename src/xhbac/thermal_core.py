@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -57,8 +57,29 @@ def default_tolerance() -> float:
     return value
 
 
+class _BoltzmannCache:
+    """Boltzmann weights and beta-order scale, computed once per (frozen) spectrum."""
+
+    @cached_property
+    def _boltzmann(self) -> np.ndarray:
+        """Unnormalized weights e^{-beta E_i}; must stay strictly positive."""
+        w = np.exp(-self.beta * np.asarray(self.levels, dtype=float))
+        if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
+            raise ValueError("Boltzmann weight under/overflow; beta*E spread too large")
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def _order_scale(self) -> np.ndarray:
+        """e^{beta (E_i - E_max)}: p_i times this is the beta-order key of level i."""
+        e = np.asarray(self.levels, dtype=float)
+        scale = np.exp(self.beta * (e - e.max()))
+        scale.flags.writeable = False
+        return scale
+
+
 @dataclass(frozen=True)
-class EnergySpectrum:
+class EnergySpectrum(_BoltzmannCache):
     """Energy levels E_0 <= ... <= E_{d-1} plus the bath inverse temperature.
 
     Only the products beta*E_i ever enter the math, so the units of `levels`
@@ -97,7 +118,7 @@ class EnergySpectrum:
 
 
 @dataclass(frozen=True)
-class CompositeSpec:
+class CompositeSpec(_BoltzmannCache):
     """System plus optional ancilla, with joint levels in (system, ancilla) lex order.
 
     The joint level table E_i + E_a is generally not sorted; all core
@@ -159,16 +180,24 @@ class CompositeSpec:
 
     def ancilla_state(self) -> np.ndarray | None:
         """Ancilla populations used at the start of each round (thermal by default)."""
+        anc = self._ancilla_start
+        return None if anc is None else anc.copy()
+
+    @cached_property
+    def _ancilla_start(self) -> np.ndarray | None:
         if self.ancilla is None:
             return None
         if self.ancilla_population is not None:
-            return np.asarray(self.ancilla_population, dtype=float)
-        return gibbs_state(self.ancilla)
+            anc = np.asarray(self.ancilla_population, dtype=float)
+        else:
+            anc = gibbs_state(self.ancilla)
+        anc.flags.writeable = False
+        return anc
 
     def joint_population(self, p_system: Sequence[float]) -> np.ndarray:
         p = as_population(p_system, self.d)
-        anc = self.ancilla_state()
-        return p.copy() if anc is None else np.kron(p, anc)
+        anc = self._ancilla_start
+        return p.copy() if anc is None else np.multiply.outer(p, anc).ravel()
 
     def system_marginal(self, joint: np.ndarray) -> np.ndarray:
         joint = np.asarray(joint, dtype=float)
@@ -182,11 +211,8 @@ def _level_array(spectrum) -> np.ndarray:
 
 
 def _boltzmann_weights(spectrum) -> np.ndarray:
-    """Unnormalized weights e^{-beta E_i}; must stay strictly positive."""
-    w = np.exp(-spectrum.beta * _level_array(spectrum))
-    if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
-        raise ValueError("Boltzmann weight under/overflow; beta*E spread too large")
-    return w
+    """Unnormalized weights e^{-beta E_i} (read-only, cached on the spectrum)."""
+    return spectrum._boltzmann
 
 
 def as_population(p, dim: int | None = None) -> np.ndarray:
@@ -196,12 +222,13 @@ def as_population(p, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"population must be a vector, got shape {arr.shape}")
     if dim is not None and arr.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {arr.size}")
-    if np.any(arr < -1e-12):
-        raise ValueError(f"negative population entry: min={arr.min()}")
+    lowest = arr.min(initial=0.0)
+    if lowest < -1e-12:
+        raise ValueError(f"negative population entry: min={lowest}")
     total = arr.sum()
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:  # also rejects NaN and inf entries
         raise ValueError(f"population must sum to 1, got {total}")
-    return np.clip(arr, 0.0, None)
+    return np.maximum(arr, 0.0)
 
 
 def gibbs_state(spectrum) -> np.ndarray:
@@ -221,10 +248,11 @@ def beta_order(p, spectrum, tie_rtol: float = 1e-12) -> np.ndarray:
     equal curve slopes, so the choice never changes the curve.
     """
     p = as_population(p, len(spectrum.levels))
-    e = _level_array(spectrum)
-    keys = p * np.exp(spectrum.beta * (e - e.max()))
+    keys = p * spectrum._order_scale
     order = np.argsort(-keys, kind="stable")
     ranked = keys[order]
+    if np.all(ranked[1:] < ranked[:-1] * (1.0 - tie_rtol)):
+        return order  # no ties: every group below is a single level
     out = np.empty_like(order)
     start = 0
     for i in range(1, p.size + 1):
@@ -256,20 +284,50 @@ class ThermoCurve:
         tol = max(default_tolerance(), 1e-12 * self.partition)
         if x < -tol or x > self.partition + tol:
             raise ValueError(f"x={x} outside curve domain [0, {self.partition}]")
-        return float(np.interp(np.clip(x, 0.0, self.partition), self.xs, self.ys))
+        return float(_curve_heights(self.xs, self.ys, x))
 
     def heights(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.interp(np.clip(xs, 0.0, self.partition), self.xs, self.ys)
+        return _curve_heights(self.xs, self.ys, np.asarray(xs, dtype=float))
+
+
+def _curve_elbows(rows, spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Elbows of the thermo-majorization curves of validated population rows.
+
+    `rows` is a float array of shape (..., d).  Returns (X, Y), each of shape (..., d+1): the
+    cumulative Boltzmann weight and the cumulative population, both starting
+    at 0 and accumulated in beta-order.  Levels with tied keys may come in
+    either order; tied keys have equal slopes, so the curve is the same.
+    """
+    order = np.argsort(-(rows * spectrum._order_scale), axis=-1, kind="stable")
+    X = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,))
+    Y = np.zeros_like(X)
+    np.cumsum(_boltzmann_weights(spectrum)[order], axis=-1, out=X[..., 1:])
+    ranked = rows[order] if rows.ndim == 1 else np.take_along_axis(rows, order, axis=-1)
+    np.cumsum(ranked, axis=-1, out=Y[..., 1:])
+    return X, Y
+
+
+def _curve_heights(X, Y, x) -> np.ndarray:
+    """Curve heights at abscissae x, clamped to the curve's domain [0, X[-1]].
+
+    One curve (1-D elbows) takes abscissae of any shape.  A stack of curves
+    (rows of X and Y) takes one abscissa per curve, or one shared by all.
+    """
+    if X.ndim == 1:
+        return np.interp(x, X, Y)
+    x = np.broadcast_to(x, X.shape[:-1])[..., None]
+    k = np.sum(X[..., 1:-1] < x, axis=-1, keepdims=True)  # segment index
+    x0, x1 = np.take_along_axis(X, k, -1), np.take_along_axis(X, k + 1, -1)
+    y0, y1 = np.take_along_axis(Y, k, -1), np.take_along_axis(Y, k + 1, -1)
+    width = x1 - x0
+    t = np.divide(x - x0, width, out=np.ones_like(width), where=width > 0.0)
+    return (y0 + (y1 - y0) * np.clip(t, 0.0, 1.0))[..., 0]
 
 
 def thermo_curve(p, spectrum) -> ThermoCurve:
     """Elbow points (sum of e^{-beta E}, sum of p) accumulated in beta-order."""
-    order = beta_order(p, spectrum)
     p = as_population(p, len(spectrum.levels))
-    w = _boltzmann_weights(spectrum)
-    xs = np.concatenate(([0.0], np.cumsum(w[order])))
-    ys = np.concatenate(([0.0], np.cumsum(p[order])))
+    xs, ys = _curve_elbows(p, spectrum)
     return ThermoCurve(xs, ys)
 
 
@@ -289,11 +347,11 @@ def thermo_majorizes(p, q, spectrum, rtol: float | None = None, atol: float | No
         rtol = CURVE_RTOL
     if atol is None:
         atol = default_tolerance()
-    cp = thermo_curve(p, spectrum)
-    cq = thermo_curve(q, spectrum)
-    xs = np.union1d(cp.xs, cq.xs)
-    hp = cp.heights(xs)
-    hq = cq.heights(xs)
+    d = len(spectrum.levels)
+    X, Y = _curve_elbows(np.array((as_population(p, d), as_population(q, d))), spectrum)
+    xs = X.ravel()  # the union of both elbow sets; interp needs no sorted queries
+    hp = _curve_heights(X[0], Y[0], xs)
+    hq = _curve_heights(X[1], Y[1], xs)
     return bool(np.all(hq <= hp + np.maximum(atol, rtol * np.abs(hp))))
 
 
@@ -371,6 +429,12 @@ def _permutation_table(n: int) -> np.ndarray:
 def extremal_points(p, spectrum, max_dim: int = 8, dedup_tol: float = 1e-10) -> ExtremalPointSet:
     """Apply every extremal map for the beta-order of p and deduplicate the images.
 
+    The map onto order alpha sends p to the population whose cumulative sums
+    in alpha-order are the heights of p's thermo-majorization curve at
+    cumsum(w[alpha]), so every image is read off one curve, for all d! orders
+    at once, without building a matrix.  Images that round to the same cell
+    of a grid of spacing `dedup_tol` are merged into one point.
+
     Refuses dimensions above `max_dim` because the number of orders grows as
     d factorial.
     """
@@ -378,25 +442,17 @@ def extremal_points(p, spectrum, max_dim: int = 8, dedup_tol: float = 1e-10) -> 
     d = p.size
     if d > max_dim:
         raise ValueError(f"dimension {d} exceeds the factorial-enumeration guard {max_dim}")
-    pi = beta_order(p, spectrum)
-    candidates = np.empty((math.factorial(d), d))
-    for idx, alpha in enumerate(_permutation_table(d)):
-        candidates[idx] = beta_permutation(pi, alpha, spectrum) @ p
+    if not dedup_tol > 0.0:
+        raise ValueError(f"dedup_tol must be positive, got {dedup_tol}")
+    perms = _permutation_table(d)
+    X, Y = _curve_elbows(p, spectrum)
+    heights = _curve_heights(X, Y, np.cumsum(_boltzmann_weights(spectrum)[perms], axis=1))
+    candidates = np.empty(perms.shape)
+    np.put_along_axis(candidates, perms, np.diff(heights, axis=1, prepend=0.0), axis=1)
 
-    order = np.lexsort(candidates.T[::-1])
-    kept: list[np.ndarray] = []
-    firsts: list[float] = []
-    window = 0
-    for row in candidates[order]:
-        while window < len(kept) and firsts[window] < row[0] - dedup_tol:
-            window += 1
-        block = kept[window:]
-        if block and np.min(np.max(np.abs(np.asarray(block) - row), axis=1)) < dedup_tol:
-            continue
-        kept.append(row)
-        firsts.append(row[0])
-    points = np.asarray(kept) if kept else np.empty((0, d))
-    return ExtremalPointSet(points=points, n_orders=candidates.shape[0], n_distinct=len(kept))
+    _, first = np.unique(np.rint(candidates / dedup_tol), axis=0, return_index=True)
+    points = candidates[first]
+    return ExtremalPointSet(points=points, n_orders=len(perms), n_distinct=len(points))
 
 
 @dataclass(frozen=True)

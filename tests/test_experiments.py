@@ -42,6 +42,19 @@ def test_config_json_round_trip(tmp_path):
     assert again == config
 
 
+@pytest.mark.parametrize("bad", [{"s_lo": "nan"}, {"s_hi": "inf"}, {"s_lo": "10", "s_hi": "10"},
+                                 {"s_lo": "20", "s_hi": "10"}, {"s_grid": "0"},
+                                 {"s_grid": "-1e-3"}, {"s_grid": "nan"}, {"s_grid": "inf"}])
+def test_config_rejects_bad_angle_windows(bad, tmp_path):
+    with pytest.raises(ValueError):
+        ExperimentConfig().with_overrides(bad)
+    data = {key: float(value) for key, value in bad.items()}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_json(path)
+
+
 def test_config_override_coercion():
     config = ExperimentConfig().with_overrides(
         {"rounds": "12", "beta": "0.25", "t_th_grid": "inf,1,0", "out": "table.csv"}
@@ -210,6 +223,10 @@ def test_cli_usage_errors(capsys):
     assert main(["accept", "not-a-suite"]) == 2
     assert main(["query", "gibbs", "--E"]) == 2  # missing value
     assert main(["query", "optimal-s", "--betaE", "1", "--hi", "inf"]) == 2
+    assert main(["query", "optimal-round", "--p", "nan,1"]) == 2
+    assert main(["figure", "fig3", "--set", "s_grid=0"]) == 2
+    assert main(["figure", "fig3", "--set", "s_hi=nan"]) == 2
+    assert main(["figure", "fig7", "--config", "no/such/config.json"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["figure", "fig1"])
     assert exc.value.code == 2

@@ -22,6 +22,7 @@ from xhbac import (
     epsilon_threshold,
     gibbs_state,
     ideal_ground_population,
+    maximally_active,
     ladder_ground_population,
     markovian_best,
     markovian_scan,
@@ -110,6 +111,35 @@ def test_oracle_equals_optimal_round_for_a_thermal_qubit():
     out = optimal_round(p, spec)
     assert oracle.ground == pytest.approx(out[0], abs=1e-12)
     assert oracle.best_sorted == pytest.approx(np.sort(out)[::-1], abs=1e-12)
+
+
+def _matrix_round(p, spec):
+    """The optimal round built from the explicit extremal matrix."""
+    active = maximally_active(spec.joint_population(p), spec)
+    matrix = beta_permutation(beta_order(active, spec), beta_opt_alpha(spec.d, spec.r), spec)
+    return spec.system_marginal(matrix @ active)
+
+
+@pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (5, 1), (8, 1), (2, 2), (2, 3), (3, 2),
+                                 (2, 4), (4, 2)])
+def test_optimal_round_matches_the_matrix_round(d, r, rng):
+    for _ in range(10):
+        system = random_spectrum(rng, d)
+        ancilla = None
+        if r > 1:
+            ancilla = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 2.5, r))), system.beta)
+        spec = CompositeSpec(system=system, ancilla=ancilla)
+        for p in (rng.dirichlet(np.ones(d)), gibbs_state(system), np.eye(d)[d - 1]):
+            assert np.max(np.abs(optimal_round(p, spec) - _matrix_round(p, spec))) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]])
+def test_optimal_round_rejects_non_finite_populations(bad):
+    spec = CompositeSpec(system=EnergySpectrum((0.0, 1.0), 1.0))
+    with pytest.raises(ValueError):
+        optimal_round(bad, spec)
+    with pytest.raises(ValueError):
+        oracle_optimal_round(bad, spec)
 
 
 def test_optimal_round_has_no_dimension_guard():

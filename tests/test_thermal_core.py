@@ -22,6 +22,7 @@ from xhbac import (
     thermo_majorizes,
     verify_gibbs_stochastic,
 )
+from xhbac.thermal_core import _curve_elbows, _curve_heights
 from conftest import random_spectrum
 
 Q = math.exp(-1.0)
@@ -107,6 +108,32 @@ def test_beta_order_examples():
     assert beta_order([0.2, 0.8], qubit).tolist() == [1, 0]
 
 
+def test_beta_order_fast_path_matches_the_tie_grouping(rng):
+    # reference: group keys within tie_rtol of the group's first key, each
+    # group in ascending level index (the rule beta_order documents)
+    def grouped(p, spectrum, tie_rtol=1e-12):
+        e = np.asarray(spectrum.levels)
+        keys = p * np.exp(spectrum.beta * (e - e.max()))
+        order = np.argsort(-keys, kind="stable")
+        out, start = [], 0
+        for i in range(1, p.size + 1):
+            if i == p.size or keys[order[i]] < keys[order[start]] * (1.0 - tie_rtol):
+                out.extend(sorted(order[start:i]))
+                start = i
+        return out
+
+    for d in (2, 3, 5):
+        for degenerate in (False, True):
+            spectrum = random_spectrum(rng, d)
+            if degenerate:
+                spectrum = EnergySpectrum((0.0,) * d, spectrum.beta)
+            for p in (rng.dirichlet(np.ones(d)), gibbs_state(spectrum), np.eye(d)[d - 1]):
+                assert beta_order(p, spectrum).tolist() == grouped(p, spectrum)
+    # keys 1e-14 apart, ascending by level: tied, so the order stays by index
+    p = np.array([1.0 / 3.0 - 1e-15, 1.0 / 3.0, 1.0 / 3.0 + 1e-15])
+    assert beta_order(p, EnergySpectrum((0.0, 0.0, 0.0), 1.0)).tolist() == [0, 1, 2]
+
+
 def test_beta_order_dimension_mismatch():
     with pytest.raises(ValueError):
         beta_order([0.5, 0.5], EnergySpectrum((0.0, 1.0, 2.0), 1.0))
@@ -148,6 +175,20 @@ def test_curve_height_examples():
         curve_height(curve, curve.partition + 1.0)
     with pytest.raises(ValueError):
         curve_height(curve, -1.0)
+
+
+@pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0],
+                                 [-math.inf, 1.0]])
+def test_non_finite_populations_are_rejected(bad):
+    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
+    with pytest.raises(ValueError):
+        thermo_curve(bad, spectrum)
+    with pytest.raises(ValueError):
+        extremal_points(bad, spectrum)
+    with pytest.raises(ValueError):
+        thermo_majorizes(bad, [0.5, 0.5], spectrum)
+    with pytest.raises(ValueError):
+        thermo_majorizes([0.5, 0.5], bad, spectrum)
 
 
 @given(pop_and_spectrum())
@@ -196,6 +237,45 @@ def test_majorization_transitive_along_thermalization_chains(ps, seed_a, seed_b)
     assert thermo_majorizes(p, q, spectrum)
     assert thermo_majorizes(q, s, spectrum)
     assert thermo_majorizes(p, s, spectrum)
+
+
+def _reference_majorizes(p, q, spectrum, rtol=1e-9, atol=1e-12):
+    """Union-of-elbows check on two separately built curves in beta_order order."""
+    w = np.exp(-spectrum.beta * np.asarray(spectrum.levels))
+
+    def curve(v):
+        order = beta_order(v, spectrum)
+        return (np.concatenate(([0.0], np.cumsum(w[order]))),
+                np.concatenate(([0.0], np.cumsum(np.asarray(v)[order]))))
+
+    (xp, yp), (xq, yq) = curve(p), curve(q)
+    xs = np.union1d(xp, xq)
+    hp = np.interp(np.clip(xs, 0.0, xp[-1]), xp, yp)
+    hq = np.interp(np.clip(xs, 0.0, xq[-1]), xq, yq)
+    return bool(np.all(hq <= hp + np.maximum(atol, rtol * np.abs(hp))))
+
+
+@given(pop_and_spectrum(), st.integers(0, 10**6),
+       st.sampled_from(["random", "same", "near", "image", "permuted"]))
+@settings(max_examples=200, deadline=None)
+def test_majorization_agrees_with_the_two_curve_reference(ps, seed, kind):
+    p, spectrum = ps
+    d = p.size
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        q = rng.dirichlet(np.ones(d))
+    elif kind == "same":
+        q = p.copy()
+    elif kind == "near":  # within the comparison tolerance of p, either side
+        q = p + rng.uniform(-1e-13, 1e-13, d)
+        q = np.clip(q, 0.0, None)
+        q /= q.sum()
+    elif kind == "image":  # touches the curve of p at every elbow of q
+        q = beta_permutation(beta_order(p, spectrum), rng.permutation(d), spectrum) @ p
+    else:  # a rearrangement, tied with p on degenerate levels
+        q = p[rng.permutation(d)]
+    assert thermo_majorizes(p, q, spectrum) == _reference_majorizes(p, q, spectrum)
+    assert thermo_majorizes(q, p, spectrum) == _reference_majorizes(q, p, spectrum)
 
 
 def test_infinite_temperature_reduces_to_classical_majorization(rng):
@@ -384,6 +464,69 @@ def test_extremal_points_are_inside_the_polytope(rng):
         p = rng.dirichlet(np.ones(3))
         for point in extremal_points(p, spectrum).points:
             assert thermo_majorizes(p, point, spectrum)
+
+
+def _matrix_images(p, spectrum):
+    """Image of p under every extremal map, built as explicit matrices."""
+    pi = beta_order(p, spectrum)
+    return [(np.array(alpha), beta_permutation(pi, np.array(alpha), spectrum) @ p)
+            for alpha in itertools.permutations(range(p.size))]
+
+
+def _degenerate_spectrum(rng, d):
+    spectrum = random_spectrum(rng, d)
+    levels = list(spectrum.levels)
+    j = int(rng.integers(1, d))
+    levels[j] = levels[j - 1]
+    return EnergySpectrum(tuple(levels), spectrum.beta)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_curve_heights_reproduce_every_extremal_map(d, degenerate, rng):
+    for _ in range(4):
+        spectrum = _degenerate_spectrum(rng, d) if degenerate else random_spectrum(rng, d)
+        p = rng.dirichlet(np.ones(d))
+        w = np.exp(-spectrum.beta * np.asarray(spectrum.levels))
+        X, Y = _curve_elbows(p, spectrum)
+        found = extremal_points(p, spectrum, dedup_tol=1e-300)  # merges exact ties only
+        for alpha, image in _matrix_images(p, spectrum):
+            heights = _curve_heights(X, Y, np.cumsum(w[alpha]))
+            candidate = np.empty(d)
+            candidate[alpha] = np.diff(heights, prepend=0.0)
+            assert np.max(np.abs(candidate - image)) <= 1e-14
+            assert np.min(np.max(np.abs(found.points - image), axis=1)) <= 1e-14
+
+
+def test_batched_curve_heights_match_one_curve_at_a_time(rng):
+    spectrum = _degenerate_spectrum(rng, 5)
+    rows = rng.dirichlet(np.ones(5), size=40)
+    rows[0] = gibbs_state(spectrum)
+    X, Y = _curve_elbows(rows, spectrum)
+    for x in (0.0, 0.3, X[0, 2], X[0, -1], X[0, -1] * (1 + 1e-15), -1e-300):
+        batched = _curve_heights(X, Y, x)
+        single = [_curve_heights(X[i], Y[i], x) for i in range(len(rows))]
+        assert batched == pytest.approx(single, abs=1e-15)
+
+
+@pytest.mark.parametrize("dedup_tol", [1e-10, 0.02, 0.1])
+def test_every_extremal_candidate_lies_near_a_kept_point(dedup_tol, rng):
+    for d, degenerate in ((3, False), (4, True), (5, False), (5, True)):
+        spectrum = _degenerate_spectrum(rng, d) if degenerate else random_spectrum(rng, d)
+        p = rng.dirichlet(np.ones(d))
+        found = extremal_points(p, spectrum, dedup_tol=dedup_tol)
+        for _, image in _matrix_images(p, spectrum):
+            gap = np.min(np.max(np.abs(found.points - image), axis=1))
+            assert gap <= dedup_tol + 1e-14
+        if dedup_tol >= 0.1:
+            assert found.n_distinct < found.n_orders
+
+
+def test_extremal_points_rejects_a_non_positive_dedup_tol():
+    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
+    for tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(ValueError):
+            extremal_points([0.3, 0.7], spectrum, dedup_tol=tol)
 
 
 def test_extremal_points_dimension_guard():
