@@ -25,7 +25,6 @@ from .thermal_core import (
     EnergySpectrum,
     _boltzmann_weights,
     _curve_elbows,
-    _curve_heights,
     _level_array,
     _permutation_table,
     as_population,
@@ -121,7 +120,7 @@ def optimal_round(p_system, spec) -> np.ndarray:
     X, Y = _curve_elbows(active, spec)
     targets = np.zeros(alpha.size + 1)
     np.cumsum(_boltzmann_weights(spec)[alpha], out=targets[1:])
-    heights = _curve_heights(X, Y, targets)  # heights[0] = 0
+    heights = np.interp(targets, X, Y)  # heights[0] = 0
     out = np.empty(alpha.size)
     out[alpha] = heights[1:] - heights[:-1]
     return spec.system_marginal(out)
@@ -158,6 +157,16 @@ class OracleRound:
         return np.diff(self.partial_sums, prepend=0.0)
 
 
+def _stacked_curve_heights(X: np.ndarray, Y: np.ndarray, x: float) -> np.ndarray:
+    """Height at abscissa x of every curve in a stack of elbow rows, clamped to each curve's domain."""
+    k = np.sum(X[:, 1:-1] < x, axis=1, keepdims=True)  # segment index
+    x0, x1 = np.take_along_axis(X, k, 1), np.take_along_axis(X, k + 1, 1)
+    y0, y1 = np.take_along_axis(Y, k, 1), np.take_along_axis(Y, k + 1, 1)
+    width = x1 - x0
+    t = np.divide(x - x0, width, out=np.ones_like(width), where=width > 0.0)
+    return (y0 + (y1 - y0) * np.clip(t, 0.0, 1.0))[:, 0]
+
+
 def oracle_optimal_round(p_system, spec, max_dim: int = 8) -> OracleRound:
     """Exhaustively maximize the round outcome over extremal unitaries and thermalizations.
 
@@ -179,7 +188,7 @@ def oracle_optimal_round(p_system, spec, max_dim: int = 8) -> OracleRound:
     # Curve height of every arrangement at the cumulative weight of the l+1
     # lowest system levels (the largest-weight level set of that size).
     group_w = _boltzmann_weights(spec).reshape(spec.d, spec.r).sum(axis=1)
-    partial = np.array([np.minimum(_curve_heights(X, Y, x_target), 1.0).max()
+    partial = np.array([np.minimum(_stacked_curve_heights(X, Y, x_target), 1.0).max()
                         for x_target in np.cumsum(group_w)])
     return OracleRound(ground=float(partial[0]), partial_sums=partial)
 

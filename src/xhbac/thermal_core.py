@@ -251,8 +251,6 @@ def beta_order(p, spectrum, tie_rtol: float = 1e-12) -> np.ndarray:
     keys = p * spectrum._order_scale
     order = np.argsort(-keys, kind="stable")
     ranked = keys[order]
-    if np.all(ranked[1:] < ranked[:-1] * (1.0 - tie_rtol)):
-        return order  # no ties: every group below is a single level
     out = np.empty_like(order)
     start = 0
     for i in range(1, p.size + 1):
@@ -284,10 +282,10 @@ class ThermoCurve:
         tol = max(default_tolerance(), 1e-12 * self.partition)
         if x < -tol or x > self.partition + tol:
             raise ValueError(f"x={x} outside curve domain [0, {self.partition}]")
-        return float(_curve_heights(self.xs, self.ys, x))
+        return float(np.interp(x, self.xs, self.ys))
 
     def heights(self, xs) -> np.ndarray:
-        return _curve_heights(self.xs, self.ys, np.asarray(xs, dtype=float))
+        return np.interp(np.asarray(xs, dtype=float), self.xs, self.ys)
 
 
 def _curve_elbows(rows, spectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -305,23 +303,6 @@ def _curve_elbows(rows, spectrum) -> tuple[np.ndarray, np.ndarray]:
     ranked = rows[order] if rows.ndim == 1 else np.take_along_axis(rows, order, axis=-1)
     np.cumsum(ranked, axis=-1, out=Y[..., 1:])
     return X, Y
-
-
-def _curve_heights(X, Y, x) -> np.ndarray:
-    """Curve heights at abscissae x, clamped to the curve's domain [0, X[-1]].
-
-    One curve (1-D elbows) takes abscissae of any shape.  A stack of curves
-    (rows of X and Y) takes one abscissa per curve, or one shared by all.
-    """
-    if X.ndim == 1:
-        return np.interp(x, X, Y)
-    x = np.broadcast_to(x, X.shape[:-1])[..., None]
-    k = np.sum(X[..., 1:-1] < x, axis=-1, keepdims=True)  # segment index
-    x0, x1 = np.take_along_axis(X, k, -1), np.take_along_axis(X, k + 1, -1)
-    y0, y1 = np.take_along_axis(Y, k, -1), np.take_along_axis(Y, k + 1, -1)
-    width = x1 - x0
-    t = np.divide(x - x0, width, out=np.ones_like(width), where=width > 0.0)
-    return (y0 + (y1 - y0) * np.clip(t, 0.0, 1.0))[..., 0]
 
 
 def thermo_curve(p, spectrum) -> ThermoCurve:
@@ -350,8 +331,8 @@ def thermo_majorizes(p, q, spectrum, rtol: float | None = None, atol: float | No
     d = len(spectrum.levels)
     X, Y = _curve_elbows(np.array((as_population(p, d), as_population(q, d))), spectrum)
     xs = X.ravel()  # the union of both elbow sets; interp needs no sorted queries
-    hp = _curve_heights(X[0], Y[0], xs)
-    hq = _curve_heights(X[1], Y[1], xs)
+    hp = np.interp(xs, X[0], Y[0])
+    hq = np.interp(xs, X[1], Y[1])
     return bool(np.all(hq <= hp + np.maximum(atol, rtol * np.abs(hp))))
 
 
@@ -426,14 +407,53 @@ def _permutation_table(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
 
 
+def _merge_images(candidates: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of `candidates` left after merging rows that lie within `tol` of a kept row.
+
+    Rows that round to the same cell of a grid of spacing `tol` merge into the
+    cell's first row.  Rows equal up to rounding can still fall on either side
+    of a cell edge, so a cell whose first row lies within BASE_TOLERANCE (or
+    `tol`, if smaller) of an earlier kept cell's first row is folded into that
+    cell when all of its rows lie within `tol` of that first row.
+    """
+    _, first, cell = np.unique(np.rint(candidates / tol), axis=0,
+                               return_index=True, return_inverse=True)
+    reps = candidates[first]
+    by_cell = np.argsort(cell, kind="stable")
+    starts = np.searchsorted(cell[by_cell], np.arange(len(reps)))
+    low = np.minimum.reduceat(candidates[by_cell], starts)
+    high = np.maximum.reduceat(candidates[by_cell], starts)
+
+    # Pairs of first rows within `near` of each other lie within
+    # 2 * near * sum(weights) along this generic projection.
+    near = min(tol, BASE_TOLERANCE)
+    weights = np.sqrt(np.arange(2.0, reps.shape[1] + 2.0))
+    proj = reps @ weights
+    order = np.argsort(proj, kind="stable")
+    reach = np.searchsorted(proj[order], proj[order] + 2.0 * near * weights.sum(), side="right")
+    counts = reach - np.arange(len(reps)) - 1
+    lo = np.repeat(np.arange(len(reps)), counts)
+    hi = lo + 1 + np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = np.minimum(order[lo], order[hi]), np.maximum(order[lo], order[hi])
+    fits = (np.max(np.abs(reps[a] - reps[b]), axis=1) < near) & np.all(
+        (high[b] - reps[a] < tol) & (reps[a] - low[b] < tol), axis=1)
+    kept = np.ones(len(reps), dtype=bool)
+    for j, i in sorted(zip(b[fits].tolist(), a[fits].tolist())):
+        if kept[i]:
+            kept[j] = False
+    return reps[kept]
+
+
 def extremal_points(p, spectrum, max_dim: int = 8, dedup_tol: float = 1e-10) -> ExtremalPointSet:
     """Apply every extremal map for the beta-order of p and deduplicate the images.
 
     The map onto order alpha sends p to the population whose cumulative sums
     in alpha-order are the heights of p's thermo-majorization curve at
     cumsum(w[alpha]), so every image is read off one curve, for all d! orders
-    at once, without building a matrix.  Images that round to the same cell
-    of a grid of spacing `dedup_tol` are merged into one point.
+    at once, without building a matrix.  Images that lie within `dedup_tol`
+    of a kept image are merged into it (see `_merge_images`); `dedup_tol`
+    below machine epsilon is refused, since a grid that fine cannot separate
+    populations.
 
     Refuses dimensions above `max_dim` because the number of orders grows as
     d factorial.
@@ -442,16 +462,14 @@ def extremal_points(p, spectrum, max_dim: int = 8, dedup_tol: float = 1e-10) -> 
     d = p.size
     if d > max_dim:
         raise ValueError(f"dimension {d} exceeds the factorial-enumeration guard {max_dim}")
-    if not dedup_tol > 0.0:
-        raise ValueError(f"dedup_tol must be positive, got {dedup_tol}")
+    if not dedup_tol >= np.finfo(float).eps:
+        raise ValueError(f"dedup_tol must be at least machine epsilon, got {dedup_tol}")
     perms = _permutation_table(d)
     X, Y = _curve_elbows(p, spectrum)
-    heights = _curve_heights(X, Y, np.cumsum(_boltzmann_weights(spectrum)[perms], axis=1))
+    heights = np.interp(np.cumsum(_boltzmann_weights(spectrum)[perms], axis=1), X, Y)
     candidates = np.empty(perms.shape)
     np.put_along_axis(candidates, perms, np.diff(heights, axis=1, prepend=0.0), axis=1)
-
-    _, first = np.unique(np.rint(candidates / dedup_tol), axis=0, return_index=True)
-    points = candidates[first]
+    points = _merge_images(candidates, dedup_tol)
     return ExtremalPointSet(points=points, n_orders=len(perms), n_distinct=len(points))
 
 

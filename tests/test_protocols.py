@@ -38,6 +38,8 @@ from xhbac import (
     to_determinant_scan,
     verify_gibbs_stochastic,
 )
+from xhbac.protocols import _stacked_curve_heights
+from xhbac.thermal_core import _curve_elbows
 from conftest import random_spectrum
 
 Q = math.exp(-1.0)
@@ -102,6 +104,18 @@ def test_oracle_matches_literal_matrix_enumeration(d, r, rng):
     oracle = oracle_optimal_round(p, spec)
     assert oracle.ground == pytest.approx(literal_ground, abs=1e-12)
     assert oracle.partial_sums == pytest.approx(literal_partials, abs=1e-12)
+
+
+def test_stacked_curve_heights_match_np_interp(rng):
+    levels = np.sort(rng.uniform(0.0, 2.5, 5))
+    levels[2] = levels[1]  # a degenerate pair
+    spectrum = EnergySpectrum(tuple(levels), 0.8)
+    rows = rng.dirichlet(np.ones(5), size=40)
+    rows[0] = gibbs_state(spectrum)
+    X, Y = _curve_elbows(rows, spectrum)
+    for x in (0.0, 0.3, X[0, 2], X[0, -1], X[0, -1] * (1 + 1e-15), -1e-300):
+        single = [np.interp(x, X[i], Y[i]) for i in range(len(rows))]
+        assert _stacked_curve_heights(X, Y, x) == pytest.approx(single, abs=1e-15)
 
 
 def test_oracle_equals_optimal_round_for_a_thermal_qubit():

@@ -22,7 +22,7 @@ from xhbac import (
     thermo_majorizes,
     verify_gibbs_stochastic,
 )
-from xhbac.thermal_core import _curve_elbows, _curve_heights
+from xhbac.thermal_core import _curve_elbows, _merge_images
 from conftest import random_spectrum
 
 Q = math.exp(-1.0)
@@ -108,7 +108,7 @@ def test_beta_order_examples():
     assert beta_order([0.2, 0.8], qubit).tolist() == [1, 0]
 
 
-def test_beta_order_fast_path_matches_the_tie_grouping(rng):
+def test_beta_order_groups_keys_within_tie_rtol(rng):
     # reference: group keys within tie_rtol of the group's first key, each
     # group in ascending level index (the rule beta_order documents)
     def grouped(p, spectrum, tie_rtol=1e-12):
@@ -489,24 +489,13 @@ def test_curve_heights_reproduce_every_extremal_map(d, degenerate, rng):
         p = rng.dirichlet(np.ones(d))
         w = np.exp(-spectrum.beta * np.asarray(spectrum.levels))
         X, Y = _curve_elbows(p, spectrum)
-        found = extremal_points(p, spectrum, dedup_tol=1e-300)  # merges exact ties only
+        found = extremal_points(p, spectrum, dedup_tol=np.finfo(float).eps)
         for alpha, image in _matrix_images(p, spectrum):
-            heights = _curve_heights(X, Y, np.cumsum(w[alpha]))
+            heights = np.interp(np.cumsum(w[alpha]), X, Y)
             candidate = np.empty(d)
             candidate[alpha] = np.diff(heights, prepend=0.0)
             assert np.max(np.abs(candidate - image)) <= 1e-14
             assert np.min(np.max(np.abs(found.points - image), axis=1)) <= 1e-14
-
-
-def test_batched_curve_heights_match_one_curve_at_a_time(rng):
-    spectrum = _degenerate_spectrum(rng, 5)
-    rows = rng.dirichlet(np.ones(5), size=40)
-    rows[0] = gibbs_state(spectrum)
-    X, Y = _curve_elbows(rows, spectrum)
-    for x in (0.0, 0.3, X[0, 2], X[0, -1], X[0, -1] * (1 + 1e-15), -1e-300):
-        batched = _curve_heights(X, Y, x)
-        single = [_curve_heights(X[i], Y[i], x) for i in range(len(rows))]
-        assert batched == pytest.approx(single, abs=1e-15)
 
 
 @pytest.mark.parametrize("dedup_tol", [1e-10, 0.02, 0.1])
@@ -522,9 +511,42 @@ def test_every_extremal_candidate_lies_near_a_kept_point(dedup_tol, rng):
             assert found.n_distinct < found.n_orders
 
 
-def test_extremal_points_rejects_a_non_positive_dedup_tol():
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_extremal_points_of_thermal_states_collapse_to_one_point(d, degenerate, rng):
+    for _ in range(3):
+        spectrum = _degenerate_spectrum(rng, d) if degenerate else random_spectrum(rng, d)
+        g = gibbs_state(spectrum)
+        for dedup_tol in (1e-10, np.finfo(float).eps * 8):
+            result = extremal_points(g, spectrum, dedup_tol=dedup_tol)
+            assert result.n_distinct == 1
+            assert np.max(np.abs(result.points[0] - g)) <= 1e-14
+
+
+def test_merge_joins_images_split_by_a_cell_edge():
+    # with tol = 0.25, 0.125 sits on a cell edge: the row one ulp above rounds
+    # into the next cell in both coordinates, yet the rows are equal to 1e-17
+    tol = 0.25
+    up = np.nextafter(0.125, 1.0)
+    twins = np.array([[0.125, 0.875], [up, 1.0 - up]])
+    assert len(_merge_images(twins, tol)) == 1
+    assert len(_merge_images(twins[::-1], tol)) == 1
+    # rows 0.1 apart in different cells are distinct images, not rounding twins
+    assert len(_merge_images(np.array([[0.1, 0.9], [0.2, 0.8]]), tol)) == 2
+    # first rows 2e-13 apart across the edge merge only if the whole cell fits
+    # within tol of the kept row: a third row 0.25 + 9e-14 away blocks it
+    close = np.array([[0.125 - 1e-13, 0.875 + 1e-13], [0.125 + 1e-13, 0.875 - 1e-13]])
+    assert len(_merge_images(close, tol)) == 1
+    spread = np.vstack((close, [0.375 - 1e-14, 0.625 + 1e-14]))
+    kept = _merge_images(spread, tol)
+    assert len(kept) == 2
+    for row in spread:
+        assert np.min(np.max(np.abs(kept - row), axis=1)) < tol
+
+
+def test_extremal_points_rejects_a_dedup_tol_below_machine_epsilon():
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
-    for tol in (0.0, -1e-10, math.nan):
+    for tol in (0.0, -1e-10, math.nan, 5e-324, 1e-300, np.finfo(float).eps / 2):
         with pytest.raises(ValueError):
             extremal_points([0.3, 0.7], spectrum, dedup_tol=tol)
 
