@@ -9,7 +9,6 @@ from .thermal_core import (
     as_population,
     beta_order,
     beta_permutation,
-    curve_height,
     default_tolerance,
     extremal_points,
     gibbs_state,

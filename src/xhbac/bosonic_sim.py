@@ -98,7 +98,6 @@ class ModePopulations:
     t: np.ndarray
     beta: float
     gap: float
-    levels: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=float)
@@ -124,7 +123,7 @@ class ModePopulations:
         return 1.0 - float(self.t.sum())
 
     def copy(self) -> "ModePopulations":
-        return ModePopulations(self.t.copy(), self.beta, self.gap, self.levels)
+        return ModePopulations(self.t.copy(), self.beta, self.gap)
 
 
 @dataclass
@@ -235,10 +234,12 @@ def jc_deexcitation(s, spectrum, trunc: FockTruncation):
 
     Evaluates (1 - e^{-bE}) sum_{n>=1} sin^2(s sqrt(n)) e^{-bE (n-1)} truncated
     at n_max; the neglected weight is bounded by trunc.tail_bound.  Accepts a
-    scalar or an array of angles.
+    scalar or an array of angles; a NaN or infinite angle raises ValueError.
     """
     roots, weights = _ladder(spectrum.beta * spectrum.gap, trunc.n_max)
     s_arr = np.asarray(s, dtype=float)
+    if not np.isfinite(s_arr).all():
+        raise ValueError(f"interaction angle must be finite, got {s}")
     values = np.sin(np.multiply.outer(s_arr, roots)) ** 2 @ weights
     return float(values) if np.isscalar(s) or s_arr.ndim == 0 else values
 
@@ -479,7 +480,23 @@ def rethermalize_mode(mode: ModePopulations, params: CavityParams, duration: flo
                       dt: float | None = None) -> ModePopulations:
     """Let the mode relax toward thermal occupation nbar for the given duration."""
     t = _rethermalize_array(mode.t[None, :], params.loss_rate, params.nbar, duration, dt)[0]
-    return ModePopulations(t=t, beta=mode.beta, gap=mode.gap, levels=mode.levels)
+    return ModePopulations(t=t, beta=mode.beta, gap=mode.gap)
+
+
+def _rotate_sectors(state: JointDiagState, c2) -> JointDiagState:
+    """Mix each excitation sector {|0, n>, |1, n-1>} with weight cos^2 = c2.
+
+    `c2` is one value per sector n = 1..n_max or a scalar for all of them;
+    |0, 0> and the orphaned top entry |1, n_max> stay in place.
+    """
+    p = state.p
+    s2 = 1.0 - c2
+    out = p.copy()
+    upper = p[0, 1:]
+    lower = p[1, :-1]
+    out[0, 1:] = c2 * upper + s2 * lower
+    out[1, :-1] = s2 * upper + c2 * lower
+    return JointDiagState(p=out, lost=state.lost)
 
 
 def jc_round(state: JointDiagState, g: float, t_int: float) -> JointDiagState:
@@ -489,17 +506,8 @@ def jc_round(state: JointDiagState, g: float, t_int: float) -> JointDiagState:
     g * t_int * sqrt(n); |0, 0> is left alone, and the orphaned top entry
     |1, n_max> (whose partner lies past the cutoff) stays in place.
     """
-    s = g * t_int
-    p = state.p
-    n = np.arange(1, p.shape[1])
-    c2 = np.cos(s * np.sqrt(n)) ** 2
-    s2 = 1.0 - c2
-    out = p.copy()
-    upper = p[0, 1:]
-    lower = p[1, :-1]
-    out[0, 1:] = c2 * upper + s2 * lower
-    out[1, :-1] = s2 * upper + c2 * lower
-    return JointDiagState(p=out, lost=state.lost)
+    n = np.arange(1, state.p.shape[1])
+    return _rotate_sectors(state, np.cos(g * t_int * np.sqrt(n)) ** 2)
 
 
 def intensity_dependent_jc_round(state: JointDiagState, s: float) -> JointDiagState:
@@ -507,15 +515,7 @@ def intensity_dependent_jc_round(state: JointDiagState, s: float) -> JointDiagSt
 
     At s = pi/2 this reproduces the exact swap unitary on populations.
     """
-    p = state.p
-    c2 = math.cos(s) ** 2
-    s2 = 1.0 - c2
-    out = p.copy()
-    upper = p[0, 1:]
-    lower = p[1, :-1]
-    out[0, 1:] = c2 * upper + s2 * lower
-    out[1, :-1] = s2 * upper + c2 * lower
-    return JointDiagState(p=out, lost=state.lost)
+    return _rotate_sectors(state, math.cos(s) ** 2)
 
 
 def _thermal_qubit(beta_e: float) -> np.ndarray:
@@ -577,7 +577,7 @@ def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
     ground = np.empty(rounds + 1)
     ground[0] = state.qubit_marginal[0]
     for k in range(1, rounds + 1):
-        state = intensity_free_round(state, s)
+        state = jc_round(pauli_x(state), 1.0, s)
         if math.isinf(t_wait):
             state = JointDiagState.product(state.qubit_marginal, mode)
         elif t_wait > 0.0:
@@ -587,8 +587,3 @@ def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
             )
         ground[k] = state.qubit_marginal[0]
     return ground
-
-
-def intensity_free_round(state: JointDiagState, s: float) -> JointDiagState:
-    """One protocol round with the plain exchange coupling: flip then rotate by s sqrt(n)."""
-    return jc_round(pauli_x(state), 1.0, s)

@@ -4,9 +4,10 @@
     xhbac accept <suite>
     xhbac query <op> [--key value ...]
 
-Global flags: --nmax, --tol, --seed, --threads.  The XHBAC_TOL environment
-variable (or --tol) overrides the default comparison tolerance.  Exit codes:
-0 success, 1 invariant failure, 2 usage error.
+Global flags: --nmax (Fock cutoff), --tol and --seed (seed of the randomized
+acceptance suites).  The XHBAC_TOL environment variable (or --tol) overrides
+the default comparison tolerance.  Exit codes: 0 success, 1 invariant failure,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .thermal_core import (
     CompositeSpec,
     EnergySpectrum,
     beta_order,
-    curve_height,
     gibbs_state,
     thermo_curve,
     thermo_majorizes,
@@ -81,7 +81,7 @@ def _op_beta_order(args):
 def _op_curve_height(args):
     spectrum = _spectrum(args)
     curve = thermo_curve(_floats(args["p"]), spectrum)
-    return ["height"], [curve_height(curve, float(args["x"]))]
+    return ["height"], [curve.height(float(args["x"]))]
 
 
 def _op_thermo_majorizes(args):
@@ -208,7 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=None,
                         help="default comparison tolerance (also via XHBAC_TOL)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    parser.add_argument("--threads", type=int, default=1, help="concurrent series workers")
     sub = parser.add_subparsers(dest="command")
 
     fig = sub.add_parser("figure", help="emit a figure data table as CSV")
@@ -237,10 +236,6 @@ def _figure_command(ns) -> int:
         overrides[key] = value
     if ns.nmax is not None:
         overrides["n_max"] = str(ns.nmax)
-    if ns.seed:
-        overrides["seed"] = str(ns.seed)
-    if ns.threads != 1:
-        overrides["threads"] = str(ns.threads)
     try:
         config = ExperimentConfig() if ns.config is None else ExperimentConfig.from_json(ns.config)
         config = config.with_overrides(overrides)

@@ -1,8 +1,9 @@
 """Experiment configuration: a flat dataclass loaded from JSON with flag overrides.
 
-Unknown keys are rejected so a typo cannot silently fall back to a default,
-and an angle window that no scan can cover is rejected on construction.
-Flag overrides always win over the file.
+Unknown keys are rejected so a typo cannot silently fall back to a default.
+NaN anywhere, an infinite scalar, and an angle window that no scan can cover
+are rejected on construction; inf inside `ratios` and `t_th_grid` means full
+reset.  Flag overrides always win over the file.
 """
 
 from __future__ import annotations
@@ -30,15 +31,12 @@ def _parse_like(template, raw: str):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str = ""
     # spectrum: levels of the target system and the bath inverse temperature;
     # beta_grid (if set) sweeps beta for multi-temperature figures
     levels: tuple[float, ...] = (0.0, 1.0)
     beta: float = 1.0
     beta_grid: tuple[float, ...] = ()
-    # protocol selection and noise
-    protocol: str = "optimal"
-    epsilon: float = 0.0
+    # ancillas of the sort-and-rethermalize baseline
     n_ancillas: int = 2
     # exchange-coupling parameters: coupling, interaction time, angle window
     g: float = 1.0
@@ -58,16 +56,18 @@ class ExperimentConfig:
     rounds: int = 30
     p0: float = -1.0  # negative means: start thermal
     out: str = ""
-    seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.s_lo) and math.isfinite(self.s_hi)):
-            raise ValueError(f"angle window must be finite, got [{self.s_lo}, {self.s_hi}]")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if isinstance(value, tuple) and any(math.isnan(x) for x in value):
+                raise ValueError(f"{f.name} must not contain nan, got {value}")
         if not self.s_lo < self.s_hi:
             raise ValueError(f"need s_lo < s_hi, got [{self.s_lo}, {self.s_hi}]")
-        if not (math.isfinite(self.s_grid) and self.s_grid > 0.0):
-            raise ValueError(f"s_grid must be finite and positive, got {self.s_grid}")
+        if not self.s_grid > 0.0:
+            raise ValueError(f"s_grid must be positive, got {self.s_grid}")
 
     @classmethod
     def field_names(cls) -> set[str]:

@@ -15,14 +15,13 @@ Each runner emits one row per (series, x) point.  Supported ids:
         time (including full reset and none).
   fig9  fig5 with the stream parameters pinned to g=1, t=98.92, beta E=1.
 
-Series within a figure are independent and may be computed concurrently;
-row order in the emitted table is always (series, x).
+Row order in the emitted table is always (series, x).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,8 +39,6 @@ from .config import ExperimentConfig
 from .protocols import noisy_ground_population, ppa_trace
 from .results import ResultTable
 from .thermal_core import EnergySpectrum, gibbs_state
-
-FIGURE_IDS = ("fig3", "fig5", "fig7", "fig8", "fig9")
 
 
 def _qubit_spectrum(config: ExperimentConfig, beta: float | None = None) -> EnergySpectrum:
@@ -62,15 +59,6 @@ def _initial_ground(config: ExperimentConfig, spectrum: EnergySpectrum) -> float
     return float(gibbs_state(spectrum)[0])
 
 
-def _map_series(config: ExperimentConfig, jobs):
-    """Evaluate (key, fn) jobs, possibly concurrently, preserving job order."""
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [(key, pool.submit(fn)) for key, fn in jobs]
-            return [(key, future.result()) for key, future in futures]
-    return [(key, fn()) for key, fn in jobs]
-
-
 def _fig3(config: ExperimentConfig) -> ResultTable:
     betas = config.beta_grid or (config.beta,)
     rounds = config.rounds
@@ -83,26 +71,16 @@ def _fig3(config: ExperimentConfig) -> ResultTable:
         diagnostics[f"{beta_e:g}"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
         p0 = _initial_ground(config, spectrum)
 
-        def ideal():
-            return [noisy_ground_population(k, 0.0, beta_e, p0) for k in range(rounds + 1)]
-
-        def jc_upper():
-            eps = 1.0 - upper_bound_G(beta_e)
+        def noisy(eps: float):
             return [noisy_ground_population(k, eps, beta_e, p0) for k in range(rounds + 1)]
 
-        def jc_lower():
-            best = optimize_interaction_time(spectrum, config.s_lo, config.s_hi, trunc,
-                                             grid_step=config.s_grid)
-            eps = 1.0 - best.probability
-            return [noisy_ground_population(k, eps, beta_e, p0) for k in range(rounds + 1)]
-
-        def baseline():
-            trace = ppa_trace([p0, 1.0 - p0], config.n_ancillas, spectrum, rounds)
-            return list(trace.ground)
-
-        jobs = [("ideal", ideal), ("jc_upper", jc_upper), ("jc_lower", jc_lower),
-                (f"ppa{config.n_ancillas}", baseline)]
-        for name, values in _map_series(config, jobs):
+        best = optimize_interaction_time(spectrum, config.s_lo, config.s_hi, trunc,
+                                         grid_step=config.s_grid)
+        baseline = ppa_trace([p0, 1.0 - p0], config.n_ancillas, spectrum, rounds)
+        series = [("ideal", noisy(0.0)), ("jc_upper", noisy(1.0 - upper_bound_G(beta_e))),
+                  ("jc_lower", noisy(1.0 - best.probability)),
+                  (f"ppa{config.n_ancillas}", baseline.ground)]
+        for name, values in series:
             for k, value in enumerate(values):
                 table.append(beta_e, name, k, float(value))
     table.metadata["truncation"] = diagnostics
@@ -113,25 +91,18 @@ def _fig3(config: ExperimentConfig) -> ResultTable:
     return table
 
 
-def _stream_figure(config: ExperimentConfig, pinned: bool) -> ResultTable:
-    if pinned:
-        config = config.with_overrides({"g": "1.0", "t_int": "98.92", "beta": "1.0",
-                                        "levels": "0,1"})
+def _fig5(config: ExperimentConfig) -> ResultTable:
     spectrum = _qubit_spectrum(config)
     beta_e = spectrum.beta * spectrum.gap
     trunc = _truncation(config, beta_e, 2)
     table = ResultTable(columns=["ratio", "atom", "p0"])
-
-    def run(ratio: float):
+    for ratio in config.ratios:
         firing = None if math.isinf(ratio) else config.loss_rate / ratio
         params = CavityParams.resonant(g=config.g, loss_rate=config.loss_rate,
                                        beta=spectrum.beta, gap=spectrum.gap,
                                        firing_rate=firing)
-        return atom_stream_sim(params, config.n_atoms, config.t_int, trunc,
-                               spectrum.beta, spectrum.gap)
-
-    jobs = [(ratio, (lambda rr: lambda: run(rr))(ratio)) for ratio in config.ratios]
-    for ratio, finals in _map_series(config, jobs):
+        finals = atom_stream_sim(params, config.n_atoms, config.t_int, trunc,
+                                 spectrum.beta, spectrum.gap)
         for atom, value in enumerate(finals):
             table.append(float(ratio), atom, float(value))
     table.metadata["truncation"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
@@ -171,35 +142,34 @@ def _fig8(config: ExperimentConfig) -> ResultTable:
                                    beta=spectrum.beta, gap=spectrum.gap)
     s = config.g * config.t_int
     table = ResultTable(columns=["t_th", "k", "p0"])
-
-    jobs = [
-        (t_th, (lambda tt: lambda: jc_reuse_trace(p0, s, tt, params, trunc, spectrum.beta,
-                                                  spectrum.gap, config.rounds))(t_th))
-        for t_th in config.t_th_grid
-    ]
-    for t_th, trace in _map_series(config, jobs):
+    for t_th in config.t_th_grid:
+        trace = jc_reuse_trace(p0, s, t_th, params, trunc, spectrum.beta, spectrum.gap,
+                               config.rounds)
         for k, value in enumerate(trace):
             table.append(float(t_th), k, float(value))
     table.metadata["truncation"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
     return table
 
 
+# figure id -> (runner, config values the figure pins over the caller's)
+FIGURES = {
+    "fig3": (_fig3, {}),
+    "fig5": (_fig5, {}),
+    "fig7": (_fig7, {}),
+    "fig8": (_fig8, {}),
+    "fig9": (_fig5, {"g": 1.0, "t_int": 98.92, "beta": 1.0, "levels": (0.0, 1.0)}),
+}
+FIGURE_IDS = tuple(FIGURES)
+
+
 def run_figure(fig_id: str, config: ExperimentConfig | None = None) -> ResultTable:
     """Produce the data table for one figure id."""
     if config is None:
         config = ExperimentConfig()
-    if fig_id == "fig3":
-        table = _fig3(config)
-    elif fig_id == "fig5":
-        table = _stream_figure(config, pinned=False)
-    elif fig_id == "fig7":
-        table = _fig7(config)
-    elif fig_id == "fig8":
-        table = _fig8(config)
-    elif fig_id == "fig9":
-        table = _stream_figure(config, pinned=True)
-    else:
+    if fig_id not in FIGURES:
         raise KeyError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
+    runner, pinned = FIGURES[fig_id]
+    table = runner(dataclasses.replace(config, **pinned))
     table.metadata["figure"] = fig_id
     table.metadata["config"] = config.to_dict()
     table.metadata["version"] = __version__

@@ -32,7 +32,6 @@ __all__ = [
     "gibbs_state",
     "beta_order",
     "thermo_curve",
-    "curve_height",
     "thermo_majorizes",
     "beta_permutation",
     "extremal_points",
@@ -178,11 +177,6 @@ class CompositeSpec(_BoltzmannCache):
             raise ValueError(f"joint index {m} outside dimension {self.dim}")
         return divmod(m, self.r)
 
-    def ancilla_state(self) -> np.ndarray | None:
-        """Ancilla populations used at the start of each round (thermal by default)."""
-        anc = self._ancilla_start
-        return None if anc is None else anc.copy()
-
     @cached_property
     def _ancilla_start(self) -> np.ndarray | None:
         if self.ancilla is None:
@@ -279,8 +273,8 @@ class ThermoCurve:
         return float(self.xs[-1])
 
     def height(self, x: float) -> float:
-        tol = max(default_tolerance(), 1e-12 * self.partition)
-        if x < -tol or x > self.partition + tol:
+        tol = max(BASE_TOLERANCE, 1e-12 * self.partition)
+        if not -tol <= x <= self.partition + tol:  # also rejects NaN
             raise ValueError(f"x={x} outside curve domain [0, {self.partition}]")
         return float(np.interp(x, self.xs, self.ys))
 
@@ -310,11 +304,6 @@ def thermo_curve(p, spectrum) -> ThermoCurve:
     p = as_population(p, len(spectrum.levels))
     xs, ys = _curve_elbows(p, spectrum)
     return ThermoCurve(xs, ys)
-
-
-def curve_height(curve: ThermoCurve, x: float) -> float:
-    """Height of the curve at abscissa x in [0, partition sum]."""
-    return curve.height(x)
 
 
 def thermo_majorizes(p, q, spectrum, rtol: float | None = None, atol: float | None = None) -> bool:

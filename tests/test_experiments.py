@@ -30,6 +30,9 @@ QUBIT = EnergySpectrum((0.0, 1.0), 1.0)
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"rounds": 5, "bogus": 1})
+    for dropped in ("threads", "seed"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            ExperimentConfig.from_dict({dropped: 1})
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig().with_overrides({"nope": "1"})
 
@@ -44,11 +47,18 @@ def test_config_json_round_trip(tmp_path):
 
 @pytest.mark.parametrize("bad", [{"s_lo": "nan"}, {"s_hi": "inf"}, {"s_lo": "10", "s_hi": "10"},
                                  {"s_lo": "20", "s_hi": "10"}, {"s_grid": "0"},
-                                 {"s_grid": "-1e-3"}, {"s_grid": "nan"}, {"s_grid": "inf"}])
+                                 {"s_grid": "-1e-3"}, {"s_grid": "nan"}, {"s_grid": "inf"},
+                                 {"t_int": "nan"}, {"g": "nan"}, {"s_star": "nan"},
+                                 {"beta": "nan"}, {"loss_rate": "nan"}, {"p0": "nan"},
+                                 {"t_int": "inf"}, {"beta": "-inf"}, {"loss_rate": "inf"},
+                                 {"ratios": "inf,nan"}, {"t_th_grid": "nan"},
+                                 {"levels": "0,nan"}, {"s_errors": "0.1,nan"}])
 def test_config_rejects_bad_angle_windows(bad, tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig().with_overrides(bad)
-    data = {key: float(value) for key, value in bad.items()}
+    data = {key: [float(x) for x in value.split(",")]
+            if isinstance(getattr(ExperimentConfig, key), tuple) else float(value)
+            for key, value in bad.items()}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError):
@@ -130,11 +140,11 @@ def test_fig3_is_deterministic_and_reproducible_from_its_echo():
     assert third.body_csv() == first.body_csv()
 
 
-def test_fig3_threads_do_not_change_the_bytes():
-    config = ExperimentConfig.from_dict(dict(FAST_FIG3, threads=3))
-    serial = run_figure("fig3", ExperimentConfig.from_dict(FAST_FIG3))
-    threaded = run_figure("fig3", config)
-    assert serial.body_csv() == threaded.body_csv()
+def test_series_looped_figures_repeat_their_bytes():
+    config = ExperimentConfig.from_dict({"n_atoms": 3, "rounds": 4,
+                                         "t_th_grid": [math.inf, 1.0, 0.0]})
+    for fig_id in ("fig5", "fig8", "fig9"):
+        assert run_figure(fig_id, config).body_csv() == run_figure(fig_id, config).body_csv()
 
 
 def test_fig5_full_reset_series_matches_the_two_round_law():
@@ -226,6 +236,12 @@ def test_cli_usage_errors(capsys):
     assert main(["query", "optimal-round", "--p", "nan,1"]) == 2
     assert main(["figure", "fig3", "--set", "s_grid=0"]) == 2
     assert main(["figure", "fig3", "--set", "s_hi=nan"]) == 2
+    for bad in ("fig8 t_int=nan", "fig5 g=nan", "fig7 s_star=nan", "fig5 beta=nan",
+                "fig8 loss_rate=nan", "fig5 ratios=inf,nan"):
+        fig_id, setting = bad.split()
+        assert main(["figure", fig_id, "--set", setting]) == 2
+    assert main(["query", "jc-deexcitation", "--s", "nan"]) == 2
+    assert main(["query", "curve-height", "--p", "0.7,0.3", "--x", "nan"]) == 2
     assert main(["figure", "fig7", "--config", "no/such/config.json"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["figure", "fig1"])

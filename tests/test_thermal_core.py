@@ -14,7 +14,6 @@ from xhbac import (
     EnergySpectrum,
     beta_order,
     beta_permutation,
-    curve_height,
     extremal_points,
     gibbs_state,
     maximally_active,
@@ -166,15 +165,15 @@ def test_infinite_temperature_curve_is_lorenz():
 def test_curve_height_examples():
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     curve = thermo_curve([0.6, 0.4], spectrum)
-    assert curve_height(curve, 0.0) == 0.0
-    assert curve_height(curve, curve.partition) == 1.0
+    assert curve.height(0.0) == 0.0
+    assert curve.height(curve.partition) == 1.0
     # midpoint of a straight segment is the mean of its endpoint heights
     x_mid = (curve.xs[0] + curve.xs[1]) / 2.0
-    assert curve_height(curve, x_mid) == pytest.approx((curve.ys[0] + curve.ys[1]) / 2.0)
+    assert curve.height(x_mid) == pytest.approx((curve.ys[0] + curve.ys[1]) / 2.0)
     with pytest.raises(ValueError):
-        curve_height(curve, curve.partition + 1.0)
+        curve.height(curve.partition + 1.0)
     with pytest.raises(ValueError):
-        curve_height(curve, -1.0)
+        curve.height(-1.0)
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0],
