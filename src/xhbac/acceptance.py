@@ -278,8 +278,8 @@ def criterion_master_equation(seed: int = 0) -> CriterionResult:
     worst_drift = 0.0
     worst_tv = 0.0
     for beta_e in (0.5, 1.0, 2.0):
-        params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=beta_e, gap=1.0)
-        thermal = ModePopulations.thermal(beta_e, 1.0, 60)
+        params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+        thermal = ModePopulations.thermal(beta_e, 60)
         relaxed = rethermalize_mode(thermal, params, 10.0)
         worst_drift = max(worst_drift, float(np.max(np.abs(relaxed.t - thermal.t))))
         target = thermal.t / thermal.t.sum()
@@ -291,7 +291,7 @@ def criterion_master_equation(seed: int = 0) -> CriterionResult:
                 t[0] = 1.0
             else:
                 t[:] = 1.0 / 61.0
-            out = rethermalize_mode(ModePopulations(t, beta_e, 1.0), params, 50.0)
+            out = rethermalize_mode(ModePopulations(t), params, 50.0)
             worst_tv = max(worst_tv, 0.5 * float(np.sum(np.abs(out.t - target))))
     ok = worst_drift <= 1e-10 and worst_tv < 1e-8
     return _result(9, "master-equation", start, 10.0, ok,
@@ -369,12 +369,12 @@ def criterion_atom_stream(seed: int = 0) -> CriterionResult:
     eps = 1.0 - jc_deexcitation(t_int, spectrum, trunc)
     target = noisy_ground_population(2, eps, beta_e, thermal_ground)
 
-    reset = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=beta_e, gap=1.0, firing_rate=None)
-    finals = atom_stream_sim(reset, 10, t_int, trunc, beta_e, 1.0)
+    reset = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e, firing_rate=None)
+    finals = atom_stream_sim(reset, 10, t_int, trunc, spectrum)
     reset_dev = float(np.max(np.abs(finals - target)))
 
-    finite = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=beta_e, gap=1.0, firing_rate=1.0)
-    finals_finite = atom_stream_sim(finite, 70, t_int, trunc, beta_e, 1.0)
+    finite = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e, firing_rate=1.0)
+    finals_finite = atom_stream_sim(finite, 70, t_int, trunc, spectrum)
     settle = float(np.max(np.abs(finals_finite[50:] - finals_finite[-1])))
     ok = reset_dev <= 1e-8 and settle <= 1e-6
     return _result(13, "atom-stream", start, 120.0, ok,

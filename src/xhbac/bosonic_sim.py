@@ -89,15 +89,13 @@ def anharmonic_level_table(gap: float, tau: float, n_max: int) -> np.ndarray:
 
 @dataclass
 class ModePopulations:
-    """Diagonal Fock populations with their thermal context.
+    """Diagonal Fock populations of one mode.
 
     Initialization truncates the thermal distribution without renormalizing;
     the missing tail is visible through `deficit`.
     """
 
     t: np.ndarray
-    beta: float
-    gap: float
 
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=float)
@@ -109,21 +107,14 @@ class ModePopulations:
             raise ValueError("mode populations exceed unit probability")
 
     @classmethod
-    def thermal(cls, beta: float, gap: float, n_max: int) -> "ModePopulations":
+    def thermal(cls, beta_e: float, n_max: int) -> "ModePopulations":
         n = np.arange(n_max + 1)
-        q = math.exp(-beta * gap)
-        return cls(t=(1.0 - q) * q**n, beta=beta, gap=gap)
-
-    @property
-    def n_max(self) -> int:
-        return self.t.size - 1
+        q = math.exp(-beta_e)
+        return cls(t=(1.0 - q) * q**n)
 
     @property
     def deficit(self) -> float:
         return 1.0 - float(self.t.sum())
-
-    def copy(self) -> "ModePopulations":
-        return ModePopulations(self.t.copy(), self.beta, self.gap)
 
 
 @dataclass
@@ -146,10 +137,6 @@ class JointDiagState:
     def product(cls, qubit, mode: ModePopulations) -> "JointDiagState":
         qubit = np.asarray(qubit, dtype=float)
         return cls(p=np.outer(qubit, mode.t))
-
-    @property
-    def n_max(self) -> int:
-        return self.p.shape[1] - 1
 
     @property
     def qubit_marginal(self) -> np.ndarray:
@@ -197,7 +184,7 @@ def reuse_protocol_trace(p0: float, trunc: FockTruncation, spectrum, rounds: int
         raise ValueError(
             f"truncation n_max={trunc.n_max} too small for {rounds} rounds at beta*E={beta_e}"
         )
-    mode = ModePopulations.thermal(spectrum.beta, spectrum.gap, trunc.n_max)
+    mode = ModePopulations.thermal(beta_e, trunc.n_max)
     state = JointDiagState.product([p0, 1.0 - p0], mode)
     ground = np.empty(rounds + 1)
     ground[0] = state.qubit_marginal[0]
@@ -235,12 +222,14 @@ def jc_deexcitation(s, spectrum, trunc: FockTruncation):
     Evaluates (1 - e^{-bE}) sum_{n>=1} sin^2(s sqrt(n)) e^{-bE (n-1)} truncated
     at n_max; the neglected weight is bounded by trunc.tail_bound.  Accepts a
     scalar or an array of angles; a NaN or infinite angle raises ValueError.
+    Each angle's terms are summed on their own, so its value does not depend
+    on the shape of the call it arrives in.
     """
     roots, weights = _ladder(spectrum.beta * spectrum.gap, trunc.n_max)
     s_arr = np.asarray(s, dtype=float)
     if not np.isfinite(s_arr).all():
         raise ValueError(f"interaction angle must be finite, got {s}")
-    values = np.sin(np.multiply.outer(s_arr, roots)) ** 2 @ weights
+    values = (np.sin(np.multiply.outer(s_arr, roots)) ** 2 * weights).sum(axis=-1)
     return float(values) if np.isscalar(s) or s_arr.ndim == 0 else values
 
 
@@ -305,6 +294,8 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     with |f''| / 2 <= sum_n w_n n, plus a slack that covers float64 rounding.
     The block with the best f(c) is evaluated in full and its maximum becomes
     a lower bound; only the blocks whose upper bound reaches it are evaluated.
+    A grid point's value does not depend on which points share its call (see
+    `jc_deexcitation`), so any block size reproduces the dense scan's values.
 
     During the scan, ladder terms whose thermal weight sits below float64
     resolution are dropped (they cannot change a double); the refinement stage
@@ -323,11 +314,7 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     count = int(math.ceil((s_hi - s_lo) / grid_step)) + 1
     grid = np.linspace(s_lo, s_hi, count)
 
-    # A multiple of four points, so that evaluating whole blocks places every
-    # grid point at the same offset modulo four within its matrix-vector
-    # product as a dense scan does; BLAS groups rows in fours and sums a
-    # leftover row in another order, which can move the last bit.
-    block = 4 * max(1, int(_SCAN_WIDTH / (4.0 * grid_step)))
+    block = max(1, int(_SCAN_WIDTH / grid_step))
     firsts = grid[::block]
     lasts = grid[np.minimum(np.arange(1, firsts.size + 1) * block, count) - 1]
     centres = 0.5 * (firsts + lasts)
@@ -407,15 +394,18 @@ class CavityParams:
     firing_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.g < 0 or self.loss_rate < 0 or self.nbar < 0:
+        if not (self.g >= 0 and self.loss_rate >= 0 and self.nbar >= 0):
             raise ValueError("cavity parameters must be non-negative")
-        if self.firing_rate is not None and self.firing_rate < 0:
+        if self.firing_rate is not None and not self.firing_rate >= 0:
             raise ValueError("firing rate must be non-negative")
 
     @classmethod
-    def resonant(cls, g: float, loss_rate: float, beta: float, gap: float,
+    def resonant(cls, g: float, loss_rate: float, beta_e: float,
                  firing_rate: float | None = None) -> "CavityParams":
-        nbar = 1.0 / math.expm1(beta * gap)
+        """Cavity whose reservoir occupation is the Bose factor at beta * E = beta_e."""
+        if not beta_e > 0:
+            raise ValueError(f"need beta_e > 0 for a finite reservoir occupation, got {beta_e}")
+        nbar = 1.0 / math.expm1(beta_e)
         return cls(g=g, loss_rate=loss_rate, nbar=nbar, firing_rate=firing_rate)
 
 
@@ -450,24 +440,20 @@ def _rk4_propagator(generator: np.ndarray, h: float) -> np.ndarray:
     return R
 
 
-def _max_stable_dt(loss_rate: float, nbar: float, n_max: int) -> float:
-    return 0.1 / (loss_rate * (nbar + 1.0) * n_max)
+def _rethermalize_array(arr: np.ndarray, loss_rate: float, nbar: float,
+                        duration: float) -> np.ndarray:
+    """Integrate the rate equation on each row of `arr` for a finite `duration`.
 
-
-def _rethermalize_array(arr: np.ndarray, loss_rate: float, nbar: float, duration: float,
-                        dt: float | None) -> np.ndarray:
-    """Integrate the rate equation on each row of `arr` for `duration`."""
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
+    Fixed fourth-order steps of at most 0.05 / (A (nbar+1) n_max), half the
+    scheme's stability limit on the fastest decay rate of the truncated ladder.
+    """
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and non-negative, got {duration}")
     if duration == 0.0 or loss_rate == 0.0:
         return arr.copy()
     n_levels = arr.shape[-1]
-    cap = _max_stable_dt(loss_rate, nbar, n_levels - 1)
-    if dt is None:
-        dt = cap / 2.0
-    elif dt >= cap:
-        raise ValueError(f"dt={dt} violates the stability guard {cap}")
-    steps = max(1, int(math.ceil(duration / dt)))
+    max_step = 0.05 / (loss_rate * (nbar + 1.0) * (n_levels - 1))
+    steps = max(1, int(math.ceil(duration / max_step)))
     h = duration / steps
     R = _rk4_propagator(_rate_generator(n_levels, loss_rate, nbar), h)
     out = arr.copy()
@@ -476,11 +462,11 @@ def _rethermalize_array(arr: np.ndarray, loss_rate: float, nbar: float, duration
     return out
 
 
-def rethermalize_mode(mode: ModePopulations, params: CavityParams, duration: float,
-                      dt: float | None = None) -> ModePopulations:
+def rethermalize_mode(mode: ModePopulations, params: CavityParams,
+                      duration: float) -> ModePopulations:
     """Let the mode relax toward thermal occupation nbar for the given duration."""
-    t = _rethermalize_array(mode.t[None, :], params.loss_rate, params.nbar, duration, dt)[0]
-    return ModePopulations(t=t, beta=mode.beta, gap=mode.gap)
+    return ModePopulations(_rethermalize_array(mode.t[None, :], params.loss_rate, params.nbar,
+                                               duration)[0])
 
 
 def _rotate_sectors(state: JointDiagState, c2) -> JointDiagState:
@@ -518,16 +504,12 @@ def intensity_dependent_jc_round(state: JointDiagState, s: float) -> JointDiagSt
     return _rotate_sectors(state, math.cos(s) ** 2)
 
 
-def _thermal_qubit(beta_e: float) -> np.ndarray:
-    x = math.exp(-beta_e)
-    return np.array([1.0, x]) / (1.0 + x)
-
-
 def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: FockTruncation,
-                    beta: float, gap: float, dt: float | None = None) -> np.ndarray:
+                    spectrum) -> np.ndarray:
     """Final ground populations of thermal atoms fired through two lossy cavities.
 
-    Per atom: qubit flip, exchange interaction with cavity one, qubit flip,
+    Atoms and cavities start thermal at the qubit spectrum's beta * E.  Per
+    atom: qubit flip, exchange interaction with cavity one, qubit flip,
     exchange interaction with cavity two, then both cavities dissipate for the
     inter-atom interval 1/firing_rate (a firing rate of None or 0 means the
     cavities fully re-thermalize between atoms).  The mode marginals stay
@@ -535,55 +517,49 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
-    beta_e = beta * gap
-    fresh = ModePopulations.thermal(beta, gap, trunc.n_max)
-    cavities = [fresh.copy(), fresh.copy()]
-    if params.firing_rate is None or params.firing_rate == 0.0:
-        t_wait = math.inf
-    else:
-        t_wait = 1.0 / params.firing_rate
-
+    beta_e = spectrum.beta * spectrum.gap
+    x = math.exp(-beta_e)
+    thermal_qubit = np.array([1.0, x]) / (1.0 + x)
+    fresh = ModePopulations.thermal(beta_e, trunc.n_max).t
+    cavities = [fresh, fresh]
     finals = np.empty(n_atoms)
     for atom in range(n_atoms):
-        qubit = _thermal_qubit(beta_e)
-        for cavity in cavities:
+        qubit = thermal_qubit
+        for i, cavity in enumerate(cavities):
             qubit = qubit[::-1]
-            joint = jc_round(JointDiagState(p=np.outer(qubit, cavity.t)), params.g, t_int)
+            joint = jc_round(JointDiagState(p=np.outer(qubit, cavity)), params.g, t_int)
             qubit = joint.qubit_marginal
-            cavity.t = joint.mode_marginal
+            cavities[i] = joint.mode_marginal
         finals[atom] = qubit[0]
-        for cavity in cavities:
-            if math.isinf(t_wait):
-                cavity.t = fresh.t.copy()
-            else:
-                cavity.t = _rethermalize_array(
-                    cavity.t[None, :], params.loss_rate, params.nbar, t_wait, dt
-                )[0]
+        if not params.firing_rate:
+            cavities = [fresh, fresh]
+        else:
+            cavities = [_rethermalize_array(cavity[None, :], params.loss_rate, params.nbar,
+                                            1.0 / params.firing_rate)[0] for cavity in cavities]
     return finals
 
 
 def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
-                   trunc: FockTruncation, beta: float, gap: float, rounds: int,
-                   dt: float | None = None) -> np.ndarray:
+                   trunc: FockTruncation, spectrum, rounds: int) -> np.ndarray:
     """Ground population per round for one qubit repeatedly coupled to one cavity.
 
-    Each round: qubit flip, exchange interaction at angle s, then the mode
-    dissipates for t_wait while keeping its classical correlations with the
-    qubit (the rate equation acts on each qubit sector separately).  An
-    infinite t_wait resets the mode to thermal and discards correlations.
+    The mode starts thermal at the qubit spectrum's beta * E.  Each round:
+    qubit flip, exchange interaction at angle s, then the mode dissipates for
+    t_wait while keeping its classical correlations with the qubit (the rate
+    equation acts on each qubit sector separately).  An infinite t_wait resets
+    the mode to thermal and discards correlations; any other t_wait must be
+    finite and non-negative.
     """
-    mode = ModePopulations.thermal(beta, gap, trunc.n_max)
+    mode = ModePopulations.thermal(spectrum.beta * spectrum.gap, trunc.n_max)
     state = JointDiagState.product([p0, 1.0 - p0], mode)
     ground = np.empty(rounds + 1)
     ground[0] = state.qubit_marginal[0]
     for k in range(1, rounds + 1):
         state = jc_round(pauli_x(state), 1.0, s)
-        if math.isinf(t_wait):
+        if t_wait == math.inf:
             state = JointDiagState.product(state.qubit_marginal, mode)
-        elif t_wait > 0.0:
-            state = JointDiagState(
-                p=_rethermalize_array(state.p, params.loss_rate, params.nbar, t_wait, dt),
-                lost=state.lost,
-            )
+        else:
+            p = _rethermalize_array(state.p, params.loss_rate, params.nbar, t_wait)
+            state = JointDiagState(p=p, lost=state.lost)
         ground[k] = state.qubit_marginal[0]
     return ground

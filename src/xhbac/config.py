@@ -1,9 +1,11 @@
 """Experiment configuration: a flat dataclass loaded from JSON with flag overrides.
 
-Unknown keys are rejected so a typo cannot silently fall back to a default.
-NaN anywhere, an infinite scalar, and an angle window that no scan can cover
-are rejected on construction; inf inside `ratios` and `t_th_grid` means full
-reset.  Flag overrides always win over the file.
+Unknown keys are rejected so a typo cannot silently fall back to a default,
+and a JSON value of the wrong type is rejected rather than passed on.  NaN
+anywhere, an infinite scalar, an angle window that no scan can cover and a
+value outside its figure's domain are rejected on construction; inf inside
+`ratios` and `t_th_grid` means full reset.  Flag overrides always win over
+the file.
 """
 
 from __future__ import annotations
@@ -11,22 +13,30 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 
 def _parse_like(template, raw: str):
     """Coerce the string `raw` to the type of the template value."""
-    if isinstance(template, bool):
-        return raw.lower() in ("1", "true", "yes")
-    if isinstance(template, int) and not isinstance(template, bool):
-        return int(raw)
-    if isinstance(template, float):
-        return float(raw)
     if isinstance(template, tuple):
-        if raw.strip() == "":
-            return ()
-        return tuple(float(x) for x in raw.split(","))
-    return raw
+        return tuple(float(x) for x in raw.split(",")) if raw.strip() else ()
+    return type(template)(raw)
+
+
+def _is_number(x) -> bool:
+    # a JSON bool is no number, and an integer must fit a float
+    return type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max)
+
+
+# per field type: what its JSON value must be, a test for that, and the conversion
+_JSON_TYPES = {
+    int: ("an integer", lambda v: type(v) is int, int),
+    float: ("a number", _is_number, float),
+    tuple: ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v)),
+            lambda v: tuple(map(float, v))),
+    str: ("a string", lambda v: type(v) is str, str),
+}
 
 
 @dataclass(frozen=True)
@@ -64,10 +74,19 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be finite, got {value}")
             if isinstance(value, tuple) and any(math.isnan(x) for x in value):
                 raise ValueError(f"{f.name} must not contain nan, got {value}")
-        if not self.s_lo < self.s_hi:
-            raise ValueError(f"need s_lo < s_hi, got [{self.s_lo}, {self.s_hi}]")
-        if not self.s_grid > 0.0:
-            raise ValueError(f"s_grid must be positive, got {self.s_grid}")
+        rules = [
+            (self.s_lo < self.s_hi, f"need s_lo < s_hi, got [{self.s_lo}, {self.s_hi}]"),
+            (self.s_grid > 0.0, f"s_grid must be positive, got {self.s_grid}"),
+            (all(r > 0.0 for r in self.ratios), f"ratios must be positive, got {self.ratios}"),
+            (all(t >= 0.0 for t in self.t_th_grid),
+             f"t_th_grid must be non-negative, got {self.t_th_grid}"),
+            (self.rounds >= 0, f"rounds must be non-negative, got {self.rounds}"),
+            (self.n_max >= 0, f"n_max must be non-negative, got {self.n_max}"),
+            (self.p0 <= 1.0, f"p0 must be at most 1, got {self.p0}"),
+        ]
+        broken = [rule for ok, rule in rules if not ok]
+        if broken:
+            raise ValueError("; ".join(broken))
 
     @classmethod
     def field_names(cls) -> set[str]:
@@ -78,10 +97,12 @@ class ExperimentConfig:
         unknown = set(data) - cls.field_names()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        coerced = dict(data)
-        for f in fields(cls):
-            if f.name in coerced and isinstance(getattr(cls, f.name), tuple):
-                coerced[f.name] = tuple(coerced[f.name])
+        coerced = {}
+        for key, value in data.items():
+            kind, accepts, convert = _JSON_TYPES[type(getattr(cls, key))]
+            if not accepts(value):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            coerced[key] = convert(value)
         return cls(**coerced)
 
     @classmethod

@@ -99,10 +99,8 @@ def _fig5(config: ExperimentConfig) -> ResultTable:
     for ratio in config.ratios:
         firing = None if math.isinf(ratio) else config.loss_rate / ratio
         params = CavityParams.resonant(g=config.g, loss_rate=config.loss_rate,
-                                       beta=spectrum.beta, gap=spectrum.gap,
-                                       firing_rate=firing)
-        finals = atom_stream_sim(params, config.n_atoms, config.t_int, trunc,
-                                 spectrum.beta, spectrum.gap)
+                                       beta_e=beta_e, firing_rate=firing)
+        finals = atom_stream_sim(params, config.n_atoms, config.t_int, trunc, spectrum)
         for atom, value in enumerate(finals):
             table.append(float(ratio), atom, float(value))
     table.metadata["truncation"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
@@ -138,13 +136,11 @@ def _fig8(config: ExperimentConfig) -> ResultTable:
     beta_e = spectrum.beta * spectrum.gap
     trunc = _truncation(config, beta_e, config.rounds)
     p0 = _initial_ground(config, spectrum)
-    params = CavityParams.resonant(g=config.g, loss_rate=config.loss_rate,
-                                   beta=spectrum.beta, gap=spectrum.gap)
+    params = CavityParams.resonant(g=config.g, loss_rate=config.loss_rate, beta_e=beta_e)
     s = config.g * config.t_int
     table = ResultTable(columns=["t_th", "k", "p0"])
     for t_th in config.t_th_grid:
-        trace = jc_reuse_trace(p0, s, t_th, params, trunc, spectrum.beta, spectrum.gap,
-                               config.rounds)
+        trace = jc_reuse_trace(p0, s, t_th, params, trunc, spectrum, config.rounds)
         for k, value in enumerate(trace):
             table.append(float(t_th), k, float(value))
     table.metadata["truncation"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}

@@ -53,7 +53,7 @@ def test_truncation_tail_and_headroom():
 
 
 def test_thermal_mode_deficit_matches_the_tail():
-    mode = ModePopulations.thermal(1.0, 1.0, 40)
+    mode = ModePopulations.thermal(1.0, 40)
     assert mode.deficit == pytest.approx(math.exp(-41.0), rel=1e-9)
     assert np.all(mode.t > 0)
 
@@ -218,7 +218,8 @@ def _dense_interaction_time(spectrum, s_lo, s_hi, trunc, grid_step=1e-3):
     (1.0, 123.4, 170.0, 1e-3, 60),    # s_lo > 0; 46601 points, a partial last block
     (3.0, 17.0, 17.127, 1e-3, 60),    # exactly one full block
     (1.0, 0.0, 3000.0, 1e-2, 60),     # coarse grid
-    (0.5, 40.0, 400.0, 0.3, 80),      # blocks of the minimum four points
+    (0.5, 40.0, 400.0, 0.3, 80),      # blocks of a single point
+    (1.0, 0.0, 400.0, 0.0129, 60),    # blocks of nine points
 ])
 def test_pruned_scan_equals_the_dense_grid_scan(beta_e, s_lo, s_hi, grid_step, n_max):
     spectrum = EnergySpectrum((0.0, 1.0), beta_e)
@@ -244,7 +245,19 @@ def test_wide_window_optimum_is_pinned():
     # the dense 5,000,001-point scan gave exactly these values
     best = optimize_interaction_time(QUBIT, 0.0, 5000.0, TRUNC)
     assert best.s_star == 2866.7394085658507
-    assert best.probability == 0.9625788816762492
+    assert best.probability == 0.9625788816762494
+
+
+def test_deexcitation_does_not_depend_on_the_call_shape():
+    rng = np.random.default_rng(17)
+    angles = rng.uniform(0.0, 5000.0, 500)
+    whole = jc_deexcitation(angles, QUBIT, TRUNC)
+    assert [jc_deexcitation(float(s), QUBIT, TRUNC) for s in angles] == whole.tolist()
+    for _ in range(200):
+        lo, hi = sorted(rng.integers(0, angles.size + 1, 2))
+        assert np.array_equal(jc_deexcitation(angles[lo:hi], QUBIT, TRUNC), whole[lo:hi])
+    grid = angles.reshape(20, 25)
+    assert np.array_equal(jc_deexcitation(grid, QUBIT, TRUNC), whole.reshape(20, 25))
 
 
 def test_pruned_scan_evaluates_a_small_share_of_the_grid(monkeypatch):
@@ -315,36 +328,36 @@ def test_asymptotic_bound_is_the_noisy_fixed_point_of_the_ceiling():
 # ---------------------------------------------------------------------------
 
 def test_thermal_state_is_a_fixed_point():
-    mode = ModePopulations.thermal(1.0, 1.0, 60)
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=1.0, gap=1.0)
+    mode = ModePopulations.thermal(1.0, 60)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     out = rethermalize_mode(mode, params, 10.0)
     assert out.t == pytest.approx(mode.t, abs=1e-10)
 
 
 def test_zero_loss_rate_is_the_identity():
-    mode = ModePopulations(np.array([0.2, 0.5, 0.3]), 1.0, 1.0)
+    mode = ModePopulations(np.array([0.2, 0.5, 0.3]))
     params = CavityParams(g=1.0, loss_rate=0.0, nbar=0.58)
     out = rethermalize_mode(mode, params, 5.0)
     assert out.t == pytest.approx(mode.t, abs=0.0)
 
 
 def test_long_horizon_relaxation_reaches_thermal():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=1.0, gap=1.0)
-    target = ModePopulations.thermal(1.0, 1.0, 60)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    target = ModePopulations.thermal(1.0, 60)
     start = np.zeros(61)
     start[45] = 1.0
-    out = rethermalize_mode(ModePopulations(start, 1.0, 1.0), params, 60.0)
+    out = rethermalize_mode(ModePopulations(start), params, 60.0)
     assert 0.5 * np.abs(out.t - target.t / target.t.sum()).sum() < 1e-8
 
 
 def test_relaxation_contracts_distance_to_thermal():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=1.0, gap=1.0)
-    thermal = ModePopulations.thermal(1.0, 1.0, 40)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    thermal = ModePopulations.thermal(1.0, 40)
     target = thermal.t / thermal.t.sum()
     state = np.zeros(41)
     state[7] = 1.0
     distances = []
-    mode = ModePopulations(state, 1.0, 1.0)
+    mode = ModePopulations(state)
     for _ in range(6):
         distances.append(0.5 * np.abs(mode.t - target).sum())
         mode = rethermalize_mode(mode, params, 0.5)
@@ -352,25 +365,31 @@ def test_relaxation_contracts_distance_to_thermal():
 
 
 def test_probability_is_conserved_by_relaxation():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=0.5, gap=1.0)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=0.5)
     rng = np.random.default_rng(5)
     t = rng.uniform(0, 1, 61)
     t /= t.sum()
-    out = rethermalize_mode(ModePopulations(t, 0.5, 1.0), params, 3.0)
+    out = rethermalize_mode(ModePopulations(t), params, 3.0)
     assert out.t.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def test_step_guard_rejects_coarse_steps():
-    mode = ModePopulations.thermal(1.0, 1.0, 60)
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=1.0, gap=1.0)
-    with pytest.raises(ValueError):
-        rethermalize_mode(mode, params, 1.0, dt=1.0)
+@pytest.mark.parametrize("duration", [-1.0, math.nan, math.inf])
+def test_relaxation_rejects_bad_durations(duration):
+    mode = ModePopulations.thermal(1.0, 60)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    with pytest.raises(ValueError, match="duration"):
+        rethermalize_mode(mode, params, duration)
 
 
 def test_cavity_params_validation():
-    with pytest.raises(ValueError):
-        CavityParams(g=1.0, loss_rate=-1.0, nbar=0.5)
-    params = CavityParams.resonant(g=2.0, loss_rate=0.3, beta=1.0, gap=1.0)
+    for bad in ({"loss_rate": -1.0}, {"g": math.nan}, {"loss_rate": math.nan},
+                {"nbar": math.nan}, {"firing_rate": math.nan}):
+        with pytest.raises(ValueError):
+            CavityParams(**{"g": 1.0, "loss_rate": 1.0, "nbar": 0.5, **bad})
+    for beta_e in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+    params = CavityParams.resonant(g=2.0, loss_rate=0.3, beta_e=1.0)
     assert params.nbar == pytest.approx(1.0 / math.expm1(1.0))
 
 
@@ -394,7 +413,7 @@ def test_half_cycle_moves_the_excitation_into_the_mode():
 
 
 def test_thermal_mode_deexcitation_matches_the_series():
-    mode = ModePopulations.thermal(1.0, 1.0, 60)
+    mode = ModePopulations.thermal(1.0, 60)
     for s in (0.9, 4.2, 7.87):
         p = np.outer([0.0, 1.0], mode.t)
         out = jc_round(JointDiagState(p=p), g=1.0, t_int=s)
@@ -494,8 +513,8 @@ def test_dense_reference_confirms_populations_and_diagonality():
 # ---------------------------------------------------------------------------
 
 def test_atom_stream_with_full_reset_hits_the_two_round_law():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=1.0, gap=1.0, firing_rate=None)
-    finals = atom_stream_sim(params, 6, 98.92, TRUNC, 1.0, 1.0)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=None)
+    finals = atom_stream_sim(params, 6, 98.92, TRUNC, QUBIT)
     thermal_ground = float(gibbs_state(QUBIT)[0])
     eps = 1.0 - jc_deexcitation(98.92, QUBIT, TRUNC)
     target = noisy_ground_population(2, eps, 1.0, thermal_ground)
@@ -503,30 +522,30 @@ def test_atom_stream_with_full_reset_hits_the_two_round_law():
 
 
 def test_atom_stream_without_losses_degrades():
-    params = CavityParams.resonant(g=1.0, loss_rate=0.0, beta=1.0, gap=1.0, firing_rate=1.0)
-    finals = atom_stream_sim(params, 25, 98.92, TRUNC, 1.0, 1.0)
+    params = CavityParams.resonant(g=1.0, loss_rate=0.0, beta_e=1.0, firing_rate=1.0)
+    finals = atom_stream_sim(params, 25, 98.92, TRUNC, QUBIT)
     assert finals[-1] < finals[0] - 0.05
 
 
 def test_atom_stream_with_finite_losses_settles():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=1.0, gap=1.0, firing_rate=1.0)
-    finals = atom_stream_sim(params, 60, 98.92, TRUNC, 1.0, 1.0)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=1.0)
+    finals = atom_stream_sim(params, 60, 98.92, TRUNC, QUBIT)
     assert np.max(np.abs(finals[50:] - finals[-1])) < 1e-6
     assert finals[-1] < finals[0]
 
 
 def test_reused_cavity_with_full_reset_matches_the_noisy_law():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=1.0, gap=1.0)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     thermal_ground = float(gibbs_state(QUBIT)[0])
-    trace = jc_reuse_trace(thermal_ground, 98.92, math.inf, params, TRUNC, 1.0, 1.0, 8)
+    trace = jc_reuse_trace(thermal_ground, 98.92, math.inf, params, TRUNC, QUBIT, 8)
     eps = 1.0 - jc_deexcitation(98.92, QUBIT, TRUNC)
     closed = [noisy_ground_population(k, eps, 1.0, thermal_ground) for k in range(9)]
     assert trace == pytest.approx(closed, abs=1e-12)
 
 
 def test_reused_cavity_without_relaxation_oscillates():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta=1.0, gap=1.0)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     thermal_ground = float(gibbs_state(QUBIT)[0])
-    trace = jc_reuse_trace(thermal_ground, 98.92, 0.0, params, TRUNC, 1.0, 1.0, 20)
+    trace = jc_reuse_trace(thermal_ground, 98.92, 0.0, params, TRUNC, QUBIT, 20)
     tail = trace[5:]
     assert tail.max() - tail.min() > 0.3

@@ -52,17 +52,39 @@ def test_config_json_round_trip(tmp_path):
                                  {"beta": "nan"}, {"loss_rate": "nan"}, {"p0": "nan"},
                                  {"t_int": "inf"}, {"beta": "-inf"}, {"loss_rate": "inf"},
                                  {"ratios": "inf,nan"}, {"t_th_grid": "nan"},
-                                 {"levels": "0,nan"}, {"s_errors": "0.1,nan"}])
+                                 {"levels": "0,nan"}, {"s_errors": "0.1,nan"},
+                                 {"ratios": "0"}, {"ratios": "inf,-1"}, {"rounds": "-1"},
+                                 {"p0": "1.5"}, {"t_th_grid": "inf,-0.5"}, {"n_max": "-1"}])
 def test_config_rejects_bad_angle_windows(bad, tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig().with_overrides(bad)
-    data = {key: [float(x) for x in value.split(",")]
-            if isinstance(getattr(ExperimentConfig, key), tuple) else float(value)
-            for key, value in bad.items()}
+
+    def json_value(key, raw):
+        template = getattr(ExperimentConfig, key)
+        if isinstance(template, tuple):
+            return [float(x) for x in raw.split(",")]
+        return int(raw) if isinstance(template, int) else float(raw)
+
+    data = {key: json_value(key, value) for key, value in bad.items()}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(path)
+
+
+@pytest.mark.parametrize("bad", [{"ratios": 5}, {"rounds": 2.5}, {"n_atoms": "3"},
+                                 {"rounds": True}, {"beta": "1"}, {"beta": False},
+                                 {"levels": [0, "1"]}, {"t_th_grid": [True]}, {"out": 3},
+                                 {"s_errors": None}])
+def test_config_rejects_wrong_json_types(bad):
+    with pytest.raises(ValueError, match="must be"):
+        ExperimentConfig.from_dict(bad)
+
+
+def test_config_reads_json_integers_as_numbers():
+    config = ExperimentConfig.from_dict({"beta": 2, "ratios": [1, 10], "rounds": 4})
+    assert config == ExperimentConfig(beta=2.0, ratios=(1.0, 10.0), rounds=4)
+    assert isinstance(config.beta, float) and isinstance(config.ratios[0], float)
 
 
 def test_config_override_coercion():
@@ -228,7 +250,7 @@ def test_cli_query_optimal_round_with_ancilla(capsys):
     assert values[0] >= 1.0 - 0.5 * math.exp(-1) - 1e-12
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(capsys, tmp_path):
     assert main(["query", "not-an-op"]) == 2
     assert main(["accept", "not-a-suite"]) == 2
     assert main(["query", "gibbs", "--E"]) == 2  # missing value
@@ -237,12 +259,17 @@ def test_cli_usage_errors(capsys):
     assert main(["figure", "fig3", "--set", "s_grid=0"]) == 2
     assert main(["figure", "fig3", "--set", "s_hi=nan"]) == 2
     for bad in ("fig8 t_int=nan", "fig5 g=nan", "fig7 s_star=nan", "fig5 beta=nan",
-                "fig8 loss_rate=nan", "fig5 ratios=inf,nan"):
+                "fig8 loss_rate=nan", "fig5 ratios=inf,nan", "fig5 ratios=0",
+                "fig8 rounds=-1", "fig3 rounds=-1", "fig7 p0=1.5", "fig8 t_th_grid=-1",
+                "fig7 n_max=-1"):
         fig_id, setting = bad.split()
         assert main(["figure", fig_id, "--set", setting]) == 2
     assert main(["query", "jc-deexcitation", "--s", "nan"]) == 2
     assert main(["query", "curve-height", "--p", "0.7,0.3", "--x", "nan"]) == 2
     assert main(["figure", "fig7", "--config", "no/such/config.json"]) == 2
+    wrong_type = tmp_path / "config.json"
+    wrong_type.write_text('{"ratios": 5}')
+    assert main(["figure", "fig5", "--config", str(wrong_type)]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["figure", "fig1"])
     assert exc.value.code == 2
