@@ -7,6 +7,7 @@ from .thermal_core import (
     GibbsStochasticCheck,
     ThermoCurve,
     as_population,
+    beta_opt_alpha,
     beta_order,
     beta_permutation,
     default_tolerance,
@@ -23,7 +24,6 @@ from .protocols import (
     OracleRound,
     ProtocolTrace,
     QubitThermalOp,
-    beta_opt_alpha,
     beta_swap_matrix,
     epsilon_noisy_trace,
     epsilon_threshold,

@@ -28,7 +28,6 @@ from .bosonic_sim import (
 from .config import ExperimentConfig
 from .figures import FIGURE_IDS, run_figure
 from .protocols import (
-    beta_opt_alpha,
     beta_swap_matrix,
     ideal_ground_population,
     ladder_ground_population,
@@ -41,6 +40,7 @@ from .results import ResultTable
 from .thermal_core import (
     CompositeSpec,
     EnergySpectrum,
+    beta_opt_alpha,
     beta_order,
     gibbs_state,
     thermo_curve,

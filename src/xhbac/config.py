@@ -80,6 +80,8 @@ class ExperimentConfig:
             (all(r > 0.0 for r in self.ratios), f"ratios must be positive, got {self.ratios}"),
             (all(t >= 0.0 for t in self.t_th_grid),
              f"t_th_grid must be non-negative, got {self.t_th_grid}"),
+            (self.loss_rate >= 0.0, f"loss_rate must be non-negative, got {self.loss_rate}"),
+            (self.n_atoms >= 1, f"n_atoms must be at least 1, got {self.n_atoms}"),
             (self.rounds >= 0, f"rounds must be non-negative, got {self.rounds}"),
             (self.n_max >= 0, f"n_max must be non-negative, got {self.n_max}"),
             (self.p0 <= 1.0, f"p0 must be at most 1, got {self.p0}"),

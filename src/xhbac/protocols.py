@@ -26,10 +26,10 @@ from .thermal_core import (
     _boltzmann_weights,
     _curve_elbows,
     _level_array,
+    _most_active,
     _permutation_table,
     as_population,
     gibbs_state,
-    maximally_active,
 )
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "QubitThermalOp",
     "OracleRound",
     "DeterminantScan",
-    "beta_opt_alpha",
     "optimal_round",
     "oracle_optimal_round",
     "run_optimal_protocol",
@@ -93,18 +92,6 @@ def _as_composite(spec) -> CompositeSpec:
     raise TypeError(f"expected CompositeSpec or EnergySpectrum, got {type(spec)!r}")
 
 
-def beta_opt_alpha(d: int, r: int = 1) -> np.ndarray:
-    """Target order for the cooling round: pairs (0,r-1)..(0,0), (1,r-1)..., (d-1,0).
-
-    Position m holds a joint index; all system-ground pairs come first (with
-    the ancilla index descending inside each block), so the extremal map
-    pushes as much population as possible toward the system ground state.
-    """
-    if d < 2 or r < 1:
-        raise ValueError(f"need d >= 2 and r >= 1, got d={d}, r={r}")
-    return np.array([i * r + (r - 1 - j) for i in range(d) for j in range(r)], dtype=np.intp)
-
-
 def optimal_round(p_system, spec) -> np.ndarray:
     """One optimal cooling round: maximally active joint arrangement, extremal map, marginal.
 
@@ -114,15 +101,10 @@ def optimal_round(p_system, spec) -> np.ndarray:
     cumsum(w[alpha_opt]), so the image is read off the curve directly.
     """
     spec = _as_composite(spec)
-    joint = spec.joint_population(p_system)
-    active = maximally_active(joint, spec)
-    alpha = beta_opt_alpha(spec.d, spec.r)
-    X, Y = _curve_elbows(active, spec)
-    targets = np.zeros(alpha.size + 1)
-    np.cumsum(_boltzmann_weights(spec)[alpha], out=targets[1:])
-    heights = np.interp(targets, X, Y)  # heights[0] = 0
-    out = np.empty(alpha.size)
-    out[alpha] = heights[1:] - heights[:-1]
+    X, Y = _curve_elbows(_most_active(spec.joint_population(p_system), spec), spec)
+    heights = np.interp(spec._cooling_targets, X, Y)  # heights[0] = 0
+    out = np.empty(spec.dim)
+    out[spec._cooling_order] = heights[1:] - heights[:-1]
     return spec.system_marginal(out)
 
 

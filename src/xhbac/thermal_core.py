@@ -36,6 +36,7 @@ __all__ = [
     "beta_permutation",
     "extremal_points",
     "maximally_active",
+    "beta_opt_alpha",
     "verify_gibbs_stochastic",
 ]
 
@@ -57,7 +58,7 @@ def default_tolerance() -> float:
 
 
 class _BoltzmannCache:
-    """Boltzmann weights and beta-order scale, computed once per (frozen) spectrum."""
+    """Boltzmann weights, beta-order scale and energy order, computed once per (frozen) spectrum."""
 
     @cached_property
     def _boltzmann(self) -> np.ndarray:
@@ -75,6 +76,13 @@ class _BoltzmannCache:
         scale = np.exp(self.beta * (e - e.max()))
         scale.flags.writeable = False
         return scale
+
+    @cached_property
+    def _energy_order(self) -> np.ndarray:
+        """Level indices by ascending energy, ties by index."""
+        order = np.argsort(np.asarray(self.levels, dtype=float), kind="stable")
+        order.flags.writeable = False
+        return order
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,21 @@ class CompositeSpec(_BoltzmannCache):
             anc = gibbs_state(self.ancilla)
         anc.flags.writeable = False
         return anc
+
+    @cached_property
+    def _cooling_order(self) -> np.ndarray:
+        """beta_opt_alpha(d, r): the target order of the optimal cooling round."""
+        alpha = beta_opt_alpha(self.d, self.r)
+        alpha.flags.writeable = False
+        return alpha
+
+    @cached_property
+    def _cooling_targets(self) -> np.ndarray:
+        """0, then the cumulative Boltzmann weight in `_cooling_order`."""
+        targets = np.zeros(self.dim + 1)
+        np.cumsum(self._boltzmann[self._cooling_order], out=targets[1:])
+        targets.flags.writeable = False
+        return targets
 
     def joint_population(self, p_system: Sequence[float]) -> np.ndarray:
         p = as_population(p_system, self.d)
@@ -370,11 +393,26 @@ def maximally_active(p, spectrum) -> np.ndarray:
     This is the most energetic arrangement on the unitary orbit of a diagonal
     state, and it thermo-majorizes every other arrangement.
     """
-    p = as_population(p, len(spectrum.levels))
-    order = np.argsort(_level_array(spectrum), kind="stable")
+    return _most_active(as_population(p, len(spectrum.levels)), spectrum)
+
+
+def _most_active(p: np.ndarray, spectrum) -> np.ndarray:
+    """`maximally_active` of an already validated population vector."""
     out = np.empty_like(p)
-    out[order] = np.sort(p)
+    out[spectrum._energy_order] = np.sort(p)
     return out
+
+
+def beta_opt_alpha(d: int, r: int = 1) -> np.ndarray:
+    """Target order for the cooling round: pairs (0,r-1)..(0,0), (1,r-1)..., (d-1,0).
+
+    Position m holds a joint index; all system-ground pairs come first (with
+    the ancilla index descending inside each block), so the extremal map
+    pushes as much population as possible toward the system ground state.
+    """
+    if d < 2 or r < 1:
+        raise ValueError(f"need d >= 2 and r >= 1, got d={d}, r={r}")
+    return np.array([i * r + (r - 1 - j) for i in range(d) for j in range(r)], dtype=np.intp)
 
 
 @dataclass(frozen=True)

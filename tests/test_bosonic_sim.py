@@ -393,6 +393,43 @@ def test_cavity_params_validation():
     assert params.nbar == pytest.approx(1.0 / math.expm1(1.0))
 
 
+def test_resonant_cavity_is_empty_where_the_bose_factor_overflows():
+    for beta_e in (710.0, 800.0, 1e6):
+        assert CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e).nbar == 0.0
+    for beta_e in (0.5, 1.0, 700.0, 709.0):
+        assert CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e).nbar == \
+            1.0 / math.expm1(beta_e)
+
+
+def _stepped_reference(rows, loss_rate, nbar, duration):
+    """The relaxation step loop written with the matmul operator."""
+    n_levels = rows.shape[-1]
+    steps = math.ceil(duration / (0.05 / (loss_rate * (nbar + 1.0) * (n_levels - 1))))
+    R = bosonic_sim._rk4_propagator(bosonic_sim._rate_generator(n_levels, loss_rate, nbar),
+                                    duration / steps)
+    out = rows
+    for _ in range(steps):
+        out = out @ R.T
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_relaxation_of_one_or_two_rows_matches_the_matmul_loop_exactly(k):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    rows = np.random.default_rng(11).dirichlet(np.ones(61), size=k)
+    out = bosonic_sim._rethermalize_array(rows, params.loss_rate, params.nbar, 2.0)
+    assert np.array_equal(out, _stepped_reference(rows, params.loss_rate, params.nbar, 2.0))
+
+
+def test_stacked_relaxation_matches_row_by_row():
+    params = CavityParams.resonant(g=1.0, loss_rate=0.7, beta_e=0.5)
+    rows = np.random.default_rng(12).dirichlet(np.ones(41), size=5)
+    stacked = bosonic_sim._rethermalize_array(rows, params.loss_rate, params.nbar, 3.0)
+    for row, got in zip(rows, stacked):
+        alone = rethermalize_mode(ModePopulations(row), params, 3.0).t
+        assert np.max(np.abs(got - alone)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # exchange interaction rounds
 # ---------------------------------------------------------------------------
@@ -525,6 +562,23 @@ def test_atom_stream_without_losses_degrades():
     params = CavityParams.resonant(g=1.0, loss_rate=0.0, beta_e=1.0, firing_rate=1.0)
     finals = atom_stream_sim(params, 25, 98.92, TRUNC, QUBIT)
     assert finals[-1] < finals[0] - 0.05
+
+
+def test_atom_stream_matches_a_per_cavity_loop():
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=1.0)
+    thermal = ModePopulations.thermal(1.0, TRUNC.n_max)
+    x = math.exp(-1.0)
+    cavities = [thermal, thermal]
+    expected = []
+    for _ in range(6):
+        qubit = np.array([1.0, x]) / (1.0 + x)
+        for i, cavity in enumerate(cavities):
+            joint = jc_round(JointDiagState.product(qubit[::-1], cavity), params.g, 98.92)
+            qubit = joint.qubit_marginal
+            cavities[i] = rethermalize_mode(ModePopulations(joint.mode_marginal), params, 1.0)
+        expected.append(qubit[0])
+    finals = atom_stream_sim(params, 6, 98.92, TRUNC, QUBIT)
+    assert finals == pytest.approx(expected, abs=1e-12)
 
 
 def test_atom_stream_with_finite_losses_settles():

@@ -54,7 +54,8 @@ def test_config_json_round_trip(tmp_path):
                                  {"ratios": "inf,nan"}, {"t_th_grid": "nan"},
                                  {"levels": "0,nan"}, {"s_errors": "0.1,nan"},
                                  {"ratios": "0"}, {"ratios": "inf,-1"}, {"rounds": "-1"},
-                                 {"p0": "1.5"}, {"t_th_grid": "inf,-0.5"}, {"n_max": "-1"}])
+                                 {"p0": "1.5"}, {"t_th_grid": "inf,-0.5"}, {"n_max": "-1"},
+                                 {"n_atoms": "0"}, {"loss_rate": "-1"}])
 def test_config_rejects_bad_angle_windows(bad, tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig().with_overrides(bad)
@@ -261,7 +262,7 @@ def test_cli_usage_errors(capsys, tmp_path):
     for bad in ("fig8 t_int=nan", "fig5 g=nan", "fig7 s_star=nan", "fig5 beta=nan",
                 "fig8 loss_rate=nan", "fig5 ratios=inf,nan", "fig5 ratios=0",
                 "fig8 rounds=-1", "fig3 rounds=-1", "fig7 p0=1.5", "fig8 t_th_grid=-1",
-                "fig7 n_max=-1"):
+                "fig7 n_max=-1", "fig5 n_atoms=0", "fig5 loss_rate=-1"):
         fig_id, setting = bad.split()
         assert main(["figure", fig_id, "--set", setting]) == 2
     assert main(["query", "jc-deexcitation", "--s", "nan"]) == 2
