@@ -357,31 +357,45 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     return InteractionTime(s_star=s_star, probability=value)
 
 
+def _split_at_log4_over_3(beta_bar, low, high):
+    """low(b) for beta_bar below log(4)/3 and high(b) from there on (and for NaN).
+
+    Each branch is evaluated only on its own side: the low branches hold
+    e^{3b}, which overflows from beta_bar of about 237 on.
+    """
+    b = np.asarray(beta_bar, dtype=float)
+    if np.any(b < 0):
+        raise ValueError("beta_bar must be non-negative")
+    warm = b < math.log(4.0) / 3.0
+    out = np.empty(b.shape)
+    out[warm] = low(b[warm])
+    out[~warm] = high(b[~warm])
+    return float(out) if np.isscalar(beta_bar) or b.ndim == 0 else out
+
+
 def upper_bound_G(beta_bar):
     """Temperature-dependent ceiling on the exchange-coupling de-excitation probability.
 
     Two branches meeting at beta_bar = log(4)/3.
     """
-    b = np.asarray(beta_bar, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("beta_bar must be non-negative")
-    low = (8.0 * np.exp(-b) - np.exp(2.0 * b) + np.exp(3.0 * b) + 8.0) / 16.0
-    high = np.exp(-4.0 * b) - np.exp(-3.0 * b) + 1.0
-    out = np.where(b < math.log(4.0) / 3.0, low, high)
-    return float(out) if np.isscalar(beta_bar) or b.ndim == 0 else out
+    return _split_at_log4_over_3(
+        beta_bar,
+        lambda b: (8.0 * np.exp(-b) - np.exp(2.0 * b) + np.exp(3.0 * b) + 8.0) / 16.0,
+        lambda b: np.exp(-4.0 * b) - np.exp(-3.0 * b) + 1.0)
 
 
 def asymptotic_upper_bound(beta_bar):
-    """Ceiling on the asymptotic ground population reachable with the exchange coupling."""
-    b = np.asarray(beta_bar, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("beta_bar must be non-negative")
-    eb = np.exp(b)
-    with np.errstate(divide="ignore"):
-        low = 1.0 / (eb + 16.0 * np.exp(2.0 * b) / (-16.0 * eb + np.exp(3.0 * b) - 8.0) + 1.0)
-    high = 1.0 / (eb / (np.exp(4.0 * b) + 1.0) + 1.0)
-    out = np.where(b < math.log(4.0) / 3.0, low, high)
-    return float(out) if np.isscalar(beta_bar) or b.ndim == 0 else out
+    """Ceiling on the asymptotic ground population reachable with the exchange coupling.
+
+    The high branch 1/(e^b/(e^{4b}+1) + 1) is written without e^b, which
+    overflows above beta_bar of about 709.8.
+    """
+    def low(b):
+        eb = np.exp(b)
+        return 1.0 / (eb + 16.0 * np.exp(2.0 * b) / (-16.0 * eb + np.exp(3.0 * b) - 8.0) + 1.0)
+
+    return _split_at_log4_over_3(
+        beta_bar, low, lambda b: 1.0 / (np.exp(-3.0 * b) / (1.0 + np.exp(-4.0 * b)) + 1.0))
 
 
 @dataclass(frozen=True)

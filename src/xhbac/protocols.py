@@ -140,13 +140,23 @@ class OracleRound:
 
 
 def _stacked_curve_heights(X: np.ndarray, Y: np.ndarray, x: float) -> np.ndarray:
-    """Height at abscissa x of every curve in a stack of elbow rows, clamped to each curve's domain."""
-    k = np.sum(X[:, 1:-1] < x, axis=1, keepdims=True)  # segment index
-    x0, x1 = np.take_along_axis(X, k, 1), np.take_along_axis(X, k + 1, 1)
-    y0, y1 = np.take_along_axis(Y, k, 1), np.take_along_axis(Y, k + 1, 1)
+    """Height at abscissa x of every curve in a stack of elbow rows, clamped to each curve's domain.
+
+    Reads the level-major storage behind `_curve_elbows` stacks (`X.T`, `Y.T`)
+    with flat-index gathers; any other (k, d+1) layout is copied to it first.
+    """
+    XL, YL = X.T, Y.T
+    k = XL.shape[1]
+    at = np.sum(XL[1:-1] < x, axis=0)  # segment index
+    at *= k
+    at += np.arange(k)  # flat index of each segment's left elbow
+    xs, ys = XL.ravel(), YL.ravel()
+    x0, y0 = xs[at], ys[at]
+    at += k
+    x1, y1 = xs[at], ys[at]
     width = x1 - x0
     t = np.divide(x - x0, width, out=np.ones_like(width), where=width > 0.0)
-    return (y0 + (y1 - y0) * np.clip(t, 0.0, 1.0))[:, 0]
+    return y0 + (y1 - y0) * np.clip(t, 0.0, 1.0)
 
 
 def oracle_optimal_round(p_system, spec, max_dim: int = 8) -> OracleRound:
@@ -335,9 +345,16 @@ def thermal_contact_determinant(q, lam, p: float, beta_e: float):
     q = np.asarray(q, dtype=float)
     lam = np.asarray(lam, dtype=float)
     x = math.exp(-beta_e)
-    coherence = (lam - 1.0) * (x * lam - 1.0) * (q - p) * (p + q - 1.0)
-    u = q * (x * lam + lam - 1.0) - lam
-    return coherence - u * (u + 1.0)
+    # coherence - u * (u + 1), evaluated in place: a grid scan spends its time on
+    # temporaries.  The float operations and their order are those of the plain formula.
+    coherence = (lam - 1.0) * (x * lam - 1.0) * (q - p)
+    coherence *= p + q - 1.0
+    u = q * (x * lam + lam - 1.0)
+    u -= lam
+    out = u + 1.0
+    out *= u
+    coherence -= out
+    return coherence
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ mutates its arguments.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -248,6 +247,20 @@ def as_population(p, dim: int | None = None) -> np.ndarray:
     return np.maximum(arr, 0.0)
 
 
+def _as_population_pair(p, q, dim: int) -> np.ndarray:
+    """`as_population` of p and q in one pass, as the rows of a (2, dim) array."""
+    pair = np.array((p, q), dtype=float)  # ragged input raises ValueError
+    if pair.shape != (2, dim):
+        raise ValueError(f"expected two populations of dimension {dim}, got shape {pair.shape}")
+    lowest = pair.min()
+    if lowest < -1e-12:
+        raise ValueError(f"negative population entry: min={lowest}")
+    totals = pair.sum(axis=1).tolist()
+    if not all(abs(t - 1.0) <= 1e-9 for t in totals):  # also rejects NaN and inf entries
+        raise ValueError(f"populations must sum to 1, got {totals}")
+    return np.maximum(pair, 0.0, out=pair)
+
+
 def gibbs_state(spectrum) -> np.ndarray:
     """Normalized thermal populations for the given spectrum."""
     e = _level_array(spectrum)
@@ -308,18 +321,44 @@ class ThermoCurve:
 def _curve_elbows(rows, spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Elbows of the thermo-majorization curves of validated population rows.
 
-    `rows` is a float array of shape (..., d).  Returns (X, Y), each of shape (..., d+1): the
-    cumulative Boltzmann weight and the cumulative population, both starting
-    at 0 and accumulated in beta-order.  Levels with tied keys may come in
-    either order; tied keys have equal slopes, so the curve is the same.
+    `rows` is a float array of shape (d,) or (k, d).  Returns (X, Y), each of
+    shape (d+1,) or (k, d+1): the cumulative Boltzmann weight and the
+    cumulative population, both starting at 0 and accumulated in beta-order.
+    Levels with tied keys may come in either order; tied keys have equal
+    slopes, so the curve is the same.
+
+    A stack is sorted and accumulated level-major, so each step runs once
+    over all k rows: X and Y are transposed views of C-contiguous (d+1, k)
+    arrays, which `_stacked_curve_heights` reads with flat-index gathers.  A
+    tall stack accumulates with one vector add per level, a short one (the
+    pair in `thermo_majorizes`) with one cumsum; both add in the same order.
     """
-    order = np.argsort(-(rows * spectrum._order_scale), axis=-1, kind="stable")
-    X = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 1,))
-    Y = np.zeros_like(X)
-    np.cumsum(_boltzmann_weights(spectrum)[order], axis=-1, out=X[..., 1:])
-    ranked = rows[order] if rows.ndim == 1 else np.take_along_axis(rows, order, axis=-1)
-    np.cumsum(ranked, axis=-1, out=Y[..., 1:])
-    return X, Y
+    w = _boltzmann_weights(spectrum)
+    if rows.ndim == 1:
+        order = np.argsort(-(rows * spectrum._order_scale), kind="stable")
+        X = np.zeros(rows.size + 1)
+        Y = np.zeros_like(X)
+        np.cumsum(w[order], out=X[1:])
+        np.cumsum(rows[order], out=Y[1:])
+        return X, Y
+    k, d = rows.shape
+    keys = (rows * spectrum._order_scale).T
+    np.negative(keys, out=keys)
+    order = np.argsort(keys, axis=0, kind="stable")  # order[j]: each row's level of rank j
+    del keys
+    elbows = np.empty((2, d + 1, k))  # X and Y, level-major
+    elbows[:, 0] = 0.0
+    elbows[0, 1:] = w[order]
+    order += np.arange(0, k * d, d)  # flat indices into rows
+    elbows[1, 1:] = rows.ravel()[order]
+    steps = elbows[:, 1:]
+    if k > d:
+        for j in range(1, d):
+            steps[:, j] += steps[:, j - 1]
+    else:
+        np.cumsum(steps, axis=1, out=steps)
+    X, Y = elbows
+    return X.T, Y.T
 
 
 def thermo_curve(p, spectrum) -> ThermoCurve:
@@ -340,9 +379,8 @@ def thermo_majorizes(p, q, spectrum, rtol: float | None = None, atol: float | No
         rtol = CURVE_RTOL
     if atol is None:
         atol = default_tolerance()
-    d = len(spectrum.levels)
-    X, Y = _curve_elbows(np.array((as_population(p, d), as_population(q, d))), spectrum)
-    xs = X.ravel()  # the union of both elbow sets; interp needs no sorted queries
+    X, Y = _curve_elbows(_as_population_pair(p, q, len(spectrum.levels)), spectrum)
+    xs = X.T.ravel()  # the union of both elbow sets; interp needs no sorted queries
     hp = np.interp(xs, X[0], Y[0])
     hq = np.interp(xs, X[1], Y[1])
     return bool(np.all(hq <= hp + np.maximum(atol, rtol * np.abs(hp))))
@@ -431,7 +469,21 @@ class ExtremalPointSet:
 
 @lru_cache(maxsize=8)
 def _permutation_table(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    """Every permutation of range(n) as a row, in lexicographic order (read-only).
+
+    Built up from the table of range(m-1): the block of rows that starts with
+    f goes on with a permutation of the other m-1 values, which is a row of
+    the smaller table with every entry from f up raised by one.
+    """
+    table = np.zeros((1, 0), dtype=np.intp)
+    for m in range(1, n + 1):
+        first = np.arange(m)
+        rest = table + (table >= first[:, None, None])  # (m, (m-1)!, m-1)
+        count = m * len(table)
+        table = np.concatenate((np.repeat(first, len(table))[:, None],
+                                rest.reshape(count, m - 1)), axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _merge_images(candidates: np.ndarray, tol: float) -> np.ndarray:

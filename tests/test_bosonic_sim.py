@@ -1,6 +1,7 @@
 """Truncated Fock-space realizations: exact swap, exchange coupling, dissipation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,18 @@ def test_upper_bound_examples():
 def test_asymptotic_bound_examples():
     assert asymptotic_upper_bound(50.0) == pytest.approx(1.0, abs=1e-12)
     assert asymptotic_upper_bound(1.0) == pytest.approx(0.9533873774220261, abs=1e-12)
+
+
+def test_bounds_are_finite_and_silent_at_low_temperature():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bound in (upper_bound_G, asymptotic_upper_bound):
+            for beta_bar in (237.0, 710.0, 800.0):
+                value = bound(beta_bar)
+                assert math.isfinite(value) and abs(value - 1.0) <= 1e-12
+            values = bound(np.array([0.1, 800.0]))
+            assert np.all(np.isfinite(values)) and abs(values[1] - 1.0) <= 1e-12
+            assert values[0] == bound(0.1)
 
 
 def test_asymptotic_bound_is_the_noisy_fixed_point_of_the_ceiling():

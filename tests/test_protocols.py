@@ -118,6 +118,45 @@ def test_stacked_curve_heights_match_np_interp(rng):
         assert _stacked_curve_heights(X, Y, x) == pytest.approx(single, abs=1e-15)
 
 
+def _row_major_oracle(p, spec):
+    """Oracle partial sums from row-major (n!, n+1) elbows with per-row gathers."""
+    rows = spec.joint_population(p)[np.array(list(itertools.permutations(range(spec.dim))))]
+    order = np.argsort(-(rows * spec._order_scale), axis=1, kind="stable")
+    X = np.zeros((len(rows), spec.dim + 1))
+    Y = np.zeros_like(X)
+    np.cumsum(spec._boltzmann[order], axis=1, out=X[:, 1:])
+    np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1, out=Y[:, 1:])
+    partial = []
+    for x in np.cumsum(spec._boltzmann.reshape(spec.d, spec.r).sum(axis=1)):
+        k = np.sum(X[:, 1:-1] < x, axis=1, keepdims=True)
+        x0, x1 = np.take_along_axis(X, k, 1), np.take_along_axis(X, k + 1, 1)
+        y0, y1 = np.take_along_axis(Y, k, 1), np.take_along_axis(Y, k + 1, 1)
+        width = x1 - x0
+        t = np.divide(x - x0, width, out=np.ones_like(width), where=width > 0.0)
+        partial.append(np.minimum((y0 + (y1 - y0) * np.clip(t, 0.0, 1.0))[:, 0], 1.0).max())
+    return np.array(partial)
+
+
+@pytest.mark.parametrize("d,r", [(d, r) for d in range(2, 9) for r in range(1, 5) if d * r <= 8])
+def test_oracle_equals_the_row_major_oracle_exactly(d, r, rng):
+    for kind in ("random", "degenerate", "thermal", "top"):
+        system = random_spectrum(rng, d)
+        if kind == "degenerate":
+            levels = list(system.levels)
+            levels[d - 1] = levels[d - 2]
+            system = EnergySpectrum(tuple(levels), system.beta)
+        ancilla = None
+        if r > 1:
+            ancilla = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 2.0, r))), system.beta)
+        spec = CompositeSpec(system=system, ancilla=ancilla)
+        p = {"thermal": gibbs_state(system), "top": np.eye(d)[d - 1]}.get(
+            kind, rng.dirichlet(np.ones(d)))
+        want = _row_major_oracle(p, spec)
+        oracle = oracle_optimal_round(p, spec)
+        assert oracle.ground == want[0]
+        assert (oracle.partial_sums == want).all()
+
+
 def test_oracle_equals_optimal_round_for_a_thermal_qubit():
     spec = CompositeSpec(system=EnergySpectrum((0.0, 1.0), 1.0))
     p = gibbs_state(spec.system)
@@ -424,6 +463,23 @@ def test_determinant_without_contact_is_flat_in_q():
     qs = np.linspace(0.3, 0.7, 9)
     values = thermal_contact_determinant(qs, 0.0, 0.7, 1.0)
     assert values == pytest.approx(np.full(9, 0.7 * 0.3), abs=1e-15)
+
+
+def test_determinant_matches_the_plain_expression_exactly():
+    def plain(q, lam, p, beta_e):
+        q, lam = np.asarray(q, dtype=float), np.asarray(lam, dtype=float)
+        x = math.exp(-beta_e)
+        coherence = (lam - 1.0) * (x * lam - 1.0) * (q - p) * (p + q - 1.0)
+        u = q * (x * lam + lam - 1.0) - lam
+        return coherence - u * (u + 1.0)
+
+    qs = np.linspace(0.25, 0.75, 301)
+    lams = np.linspace(0.0, 1.0, 257)
+    for q, lam in ((qs[:, None], lams[None, :]), (qs, 0.4), (0.3, lams), (0.35, 0.8)):
+        got = thermal_contact_determinant(q, lam, 0.75, 1.3)
+        want = plain(q, lam, 0.75, 1.3)
+        assert np.shape(got) == np.shape(want)
+        assert (got == want).all()
 
 
 def test_determinant_scan_maximally_mixed_orbit_collapses():

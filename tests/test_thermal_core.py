@@ -21,7 +21,7 @@ from xhbac import (
     thermo_majorizes,
     verify_gibbs_stochastic,
 )
-from xhbac.thermal_core import _curve_elbows, _merge_images
+from xhbac.thermal_core import _curve_elbows, _merge_images, _permutation_table
 from conftest import random_spectrum
 
 Q = math.exp(-1.0)
@@ -177,7 +177,8 @@ def test_curve_height_examples():
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0],
-                                 [-math.inf, 1.0]])
+                                 [-math.inf, 1.0], [-0.5, 1.5], [0.2, 0.3, 0.5], [1.0],
+                                 [[0.5, 0.5]], [[0.5], 0.5]])
 def test_non_finite_populations_are_rejected(bad):
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     with pytest.raises(ValueError):
@@ -188,6 +189,32 @@ def test_non_finite_populations_are_rejected(bad):
         thermo_majorizes(bad, [0.5, 0.5], spectrum)
     with pytest.raises(ValueError):
         thermo_majorizes([0.5, 0.5], bad, spectrum)
+
+
+@pytest.mark.parametrize("k", [3, 6, 7, 40])
+def test_stacked_elbows_equal_row_by_row_calls(k, rng):
+    # k <= d rows accumulate with one cumsum, taller stacks with a loop of vector adds
+    levels = np.sort(rng.uniform(0.0, 2.5, 6))
+    levels[0] = 0.0
+    levels[3] = levels[2]  # a degenerate pair
+    spectrum = EnergySpectrum(tuple(levels), 0.8)
+    rows = rng.dirichlet(np.ones(6), size=k)
+    rows[0] = gibbs_state(spectrum)
+    rows[1] = [0.0, 0.5, 0.0, 0.0, 0.5, 0.0]
+    rows[2] = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    X, Y = _curve_elbows(rows, spectrum)
+    assert X.shape == Y.shape == (k, 7)
+    for row, x, y in zip(rows, X, Y):
+        x1, y1 = _curve_elbows(row, spectrum)
+        assert (x == x1).all() and (y == y1).all()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_permutation_table_is_lexicographic(n):
+    want = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    got = _permutation_table(n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
 
 
 @given(pop_and_spectrum())
