@@ -42,6 +42,7 @@ from .thermal_core import (
     EnergySpectrum,
     beta_opt_alpha,
     beta_order,
+    default_tolerance,
     gibbs_state,
     thermo_curve,
     thermo_majorizes,
@@ -288,6 +289,11 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     if ns.tol is not None:
         os.environ["XHBAC_TOL"] = repr(ns.tol)
+    try:
+        default_tolerance()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if ns.command == "figure":
         return _figure_command(ns)
     if ns.command == "accept":

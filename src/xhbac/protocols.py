@@ -26,8 +26,10 @@ from .thermal_core import (
     _boltzmann_weights,
     _curve_elbows,
     _level_array,
-    _most_active,
     _permutation_table,
+    _population_row,
+    _row_elbows,
+    _row_heights,
     as_population,
     gibbs_state,
 )
@@ -101,11 +103,12 @@ def optimal_round(p_system, spec) -> np.ndarray:
     cumsum(w[alpha_opt]), so the image is read off the curve directly.
     """
     spec = _as_composite(spec)
-    X, Y = _curve_elbows(_most_active(spec.joint_population(p_system), spec), spec)
-    heights = np.interp(spec._cooling_targets, X, Y)  # heights[0] = 0
-    out = np.empty(spec.dim)
-    out[spec._cooling_order] = heights[1:] - heights[:-1]
-    return spec.system_marginal(out)
+    p, anc = _population_row(p_system, spec.d), spec._ancilla_start
+    joint = sorted(p if anc is None else [x * a for x in p for a in anc])
+    active = [joint[k] for k in spec._energy_rank]  # ascending populations onto ascending energies
+    xs, ys = _row_elbows(active, spec)
+    heights = _row_heights(spec._cooling_targets, xs, ys)  # heights[0] = 0
+    return spec.system_marginal(np.array([heights[m + 1] - heights[m] for m in spec._cooling_rank]))
 
 
 def run_optimal_protocol(p0, spec, rounds: int) -> ProtocolTrace:
@@ -169,6 +172,11 @@ def oracle_optimal_round(p_system, spec, max_dim: int = 8) -> OracleRound:
     thermo-majorization curve at the set's total Boltzmann weight, so the
     inner enumeration collapses to curve evaluations.  That geometric identity
     is cross-checked against literal matrix enumeration in the test suite.
+
+    `max_dim` bounds the joint dimension n, since the arrangements number n!.
+    The default of 8 is a time and memory guard: at n = 9 one call took
+    0.2-0.35 s and 190 MB peak RSS (2-vCPU Xeon), and each further level
+    multiplies both by about n.
     """
     spec = _as_composite(spec)
     n = spec.dim

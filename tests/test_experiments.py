@@ -251,7 +251,8 @@ def test_cli_query_optimal_round_with_ancilla(capsys):
     assert values[0] >= 1.0 - 0.5 * math.exp(-1) - 1e-12
 
 
-def test_cli_usage_errors(capsys, tmp_path):
+def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("XHBAC_TOL", "1e-12")  # restored afterwards; main() writes --tol here
     assert main(["query", "not-an-op"]) == 2
     assert main(["accept", "not-a-suite"]) == 2
     assert main(["query", "gibbs", "--E"]) == 2  # missing value
@@ -267,6 +268,9 @@ def test_cli_usage_errors(capsys, tmp_path):
         assert main(["figure", fig_id, "--set", setting]) == 2
     assert main(["query", "jc-deexcitation", "--s", "nan"]) == 2
     assert main(["query", "curve-height", "--p", "0.7,0.3", "--x", "nan"]) == 2
+    for tol in ("nan", "inf"):
+        assert main(["--tol", tol, "query", "thermo-majorizes", "--E", "0,1",
+                     "--p", "0.7,0.3", "--q", "0.6,0.4"]) == 2
     assert main(["figure", "fig7", "--config", "no/such/config.json"]) == 2
     wrong_type = tmp_path / "config.json"
     wrong_type.write_text('{"ratios": 5}')

@@ -14,6 +14,7 @@ from xhbac import (
     EnergySpectrum,
     NoiseSpec,
     QubitThermalOp,
+    as_population,
     beta_opt_alpha,
     beta_order,
     beta_permutation,
@@ -184,6 +185,48 @@ def test_optimal_round_matches_the_matrix_round(d, r, rng):
         spec = CompositeSpec(system=system, ancilla=ancilla)
         for p in (rng.dirichlet(np.ones(d)), gibbs_state(system), np.eye(d)[d - 1]):
             assert np.max(np.abs(optimal_round(p, spec) - _matrix_round(p, spec))) <= 1e-14
+
+
+def _numpy_optimal_round(p, spec):
+    """The optimal round on numpy arrays: one curve, heights by np.interp, a scattered image."""
+    joint = spec.joint_population(p)
+    active = np.empty_like(joint)
+    active[np.argsort(np.asarray(spec.levels), kind="stable")] = np.sort(joint)
+    order = np.argsort(-(active * spec._order_scale), kind="stable")
+    X = np.zeros(spec.dim + 1)
+    Y = np.zeros_like(X)
+    np.cumsum(spec._boltzmann[order], out=X[1:])
+    np.cumsum(active[order], out=Y[1:])
+    alpha = beta_opt_alpha(spec.d, spec.r)
+    targets = np.zeros(spec.dim + 1)
+    np.cumsum(spec._boltzmann[alpha], out=targets[1:])
+    heights = np.interp(targets, X, Y)
+    out = np.empty(spec.dim)
+    out[alpha] = heights[1:] - heights[:-1]
+    return spec.system_marginal(out)
+
+
+@pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (5, 1), (8, 1), (2, 2), (2, 3), (3, 2),
+                                 (2, 4), (4, 2)])
+def test_protocol_trace_equals_the_numpy_round_exactly(d, r, rng):
+    for kind in ("random", "degenerate", "thermal", "top", "zeros"):
+        system = random_spectrum(rng, d)
+        if kind == "degenerate":
+            levels = list(system.levels)
+            levels[d - 1] = levels[d - 2]
+            system = EnergySpectrum(tuple(levels), system.beta)
+        ancilla = None
+        if r > 1:
+            ancilla = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 2.0, r))), system.beta)
+        spec = CompositeSpec(system=system, ancilla=ancilla)
+        p0 = {"thermal": gibbs_state(system), "top": np.eye(d)[d - 1],
+              "zeros": np.eye(d)[0] * 0.25 + np.eye(d)[d - 1] * 0.75}.get(
+            kind, rng.dirichlet(np.ones(d)))
+        history = [as_population(p0)]
+        for _ in range(30):
+            history.append(_numpy_optimal_round(history[-1], spec))
+        trace = run_optimal_protocol(p0, spec, 30)
+        assert trace.populations.tobytes() == np.array(history).tobytes()
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]])

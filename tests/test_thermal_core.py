@@ -21,7 +21,8 @@ from xhbac import (
     thermo_majorizes,
     verify_gibbs_stochastic,
 )
-from xhbac.thermal_core import _curve_elbows, _merge_images, _permutation_table
+from xhbac.thermal_core import (_curve_elbows, _merge_images, _permutation_table, _row_elbows,
+                                _row_heights)
 from conftest import random_spectrum
 
 Q = math.exp(-1.0)
@@ -193,7 +194,7 @@ def test_non_finite_populations_are_rejected(bad):
 
 @pytest.mark.parametrize("k", [3, 6, 7, 40])
 def test_stacked_elbows_equal_row_by_row_calls(k, rng):
-    # k <= d rows accumulate with one cumsum, taller stacks with a loop of vector adds
+    # the stack adds one level at a time over all rows, the row kernel one float at a time
     levels = np.sort(rng.uniform(0.0, 2.5, 6))
     levels[0] = 0.0
     levels[3] = levels[2]  # a degenerate pair
@@ -205,8 +206,8 @@ def test_stacked_elbows_equal_row_by_row_calls(k, rng):
     X, Y = _curve_elbows(rows, spectrum)
     assert X.shape == Y.shape == (k, 7)
     for row, x, y in zip(rows, X, Y):
-        x1, y1 = _curve_elbows(row, spectrum)
-        assert (x == x1).all() and (y == y1).all()
+        x1, y1 = _row_elbows(row.tolist(), spectrum)
+        assert x.tolist() == x1 and y.tolist() == y1
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -302,6 +303,66 @@ def test_majorization_agrees_with_the_two_curve_reference(ps, seed, kind):
         q = p[rng.permutation(d)]
     assert thermo_majorizes(p, q, spectrum) == _reference_majorizes(p, q, spectrum)
     assert thermo_majorizes(q, p, spectrum) == _reference_majorizes(q, p, spectrum)
+
+
+def _numpy_majorizes(p, q, spectrum, rtol=1e-9, atol=1e-12):
+    """The numpy pair check: both curves as one stack, heights by np.interp."""
+    pair = np.maximum(np.array((p, q), dtype=float), 0.0)
+    order = np.argsort(-(pair * spectrum._order_scale), axis=1, kind="stable")
+    X = np.zeros((2, pair.shape[1] + 1))
+    Y = np.zeros_like(X)
+    np.cumsum(spectrum._boltzmann[order], axis=1, out=X[:, 1:])
+    np.cumsum(np.take_along_axis(pair, order, axis=1), axis=1, out=Y[:, 1:])
+    xs = X.T.ravel()
+    hp = np.interp(xs, X[0], Y[0])
+    hq = np.interp(xs, X[1], Y[1])
+    return bool(np.all(hq <= hp + np.maximum(atol, rtol * np.abs(hp))))
+
+
+def _pair_check_cases(rng, d):
+    """(p, q, spectrum) pairs of every kind, on a plain and a degenerate spectrum."""
+    for spectrum in (random_spectrum(rng, d), _degenerate_spectrum(rng, d)):
+        g = gibbs_state(spectrum)
+        for _ in range(6):
+            p = rng.dirichlet(np.ones(d))
+            zeros = p.copy()
+            zeros[rng.permutation(d)[: d // 2]] = 0.0
+            zeros /= zeros.sum()
+            near = np.clip(p + rng.uniform(-1e-13, 1e-13, d), 0.0, None)
+            image = beta_permutation(beta_order(p, spectrum), rng.permutation(d), spectrum) @ p
+            tied = np.full(d, 1.0 / d)  # equal keys on every degenerate pair
+            for q in (rng.dirichlet(np.ones(d)), p.copy(), near / near.sum(), image,
+                      p[rng.permutation(d)], g, zeros, tied, np.eye(d)[d - 1]):
+                yield p, q, spectrum
+            yield zeros, image, spectrum
+            yield g, g.copy(), spectrum
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 40])
+def test_pair_check_equals_the_numpy_pair_check_exactly(d, rng):
+    for p, q, spectrum in _pair_check_cases(rng, d):
+        assert thermo_majorizes(p, q, spectrum) == _numpy_majorizes(p, q, spectrum)
+        assert thermo_majorizes(q, p, spectrum) == _numpy_majorizes(q, p, spectrum)
+
+
+def test_row_heights_equal_np_interp_exactly(rng):
+    spectrum = _degenerate_spectrum(rng, 6)
+    for p in (rng.dirichlet(np.ones(6)), gibbs_state(spectrum), np.eye(6)[5]):
+        xs, ys = _row_elbows(p.tolist(), spectrum)
+        # elbows, points between them and past the last one, ascending
+        targets = sorted(xs + rng.uniform(0.0, xs[-1] * 1.1, 20).tolist() + [xs[-1] * 2])
+        assert _row_heights(targets, xs, ys) == np.interp(targets, xs, ys).tolist()
+    xs, ys = [0.0, 1.0, 1.0, 2.0], [0.0, 0.5, 0.7, 1.0]  # a run of equal abscissae
+    targets = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+    assert _row_heights(targets, xs, ys) == np.interp(targets, xs, ys).tolist()
+
+
+@pytest.mark.parametrize("rtol,atol", [(math.nan, None), (-1e-9, None), (math.inf, None),
+                                       (None, math.nan), (None, -1e-12), (None, math.inf)])
+def test_bad_explicit_tolerances_are_rejected(rtol, atol):
+    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
+    with pytest.raises(ValueError):
+        thermo_majorizes([0.7, 0.3], [0.6, 0.4], spectrum, rtol=rtol, atol=atol)
 
 
 def test_infinite_temperature_reduces_to_classical_majorization(rng):
@@ -514,7 +575,7 @@ def test_curve_heights_reproduce_every_extremal_map(d, degenerate, rng):
         spectrum = _degenerate_spectrum(rng, d) if degenerate else random_spectrum(rng, d)
         p = rng.dirichlet(np.ones(d))
         w = np.exp(-spectrum.beta * np.asarray(spectrum.levels))
-        X, Y = _curve_elbows(p, spectrum)
+        X, Y = _row_elbows(p.tolist(), spectrum)
         found = extremal_points(p, spectrum, dedup_tol=np.finfo(float).eps)
         for alpha, image in _matrix_images(p, spectrum):
             heights = np.interp(np.cumsum(w[alpha]), X, Y)
