@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .thermal_core import _BATCH_ELEMENTS
+
 __all__ = [
     "FockTruncation",
     "ModePopulations",
@@ -261,8 +263,26 @@ def _golden_max(f, lo: float, hi: float, iterations: int = 80) -> float:
 # half-width r, not with its point count, so a coarser grid gets fewer points
 # per block.
 _SCAN_WIDTH = 0.128
-# Largest angle-by-term matrix built at once, in elements.
-_SCAN_BATCH = 1 << 20
+
+
+def _linspace_at(start: float, stop: float, count: int):
+    """Function giving the points of np.linspace(start, stop, count) at an array of indices.
+
+    Uses linspace's own formula, index * step + start with
+    step = (stop - start) / (count - 1) and the last index exactly `stop`, so
+    the values are bitwise those of the built grid.  A step that underflows
+    to 0 (where linspace switches formula) raises ValueError.
+    """
+    step = (stop - start) / (count - 1)
+    if step == 0.0:
+        raise ValueError(f"grid step of [{start}, {stop}] over {count} points underflows to 0")
+
+    def at(index: np.ndarray) -> np.ndarray:
+        values = index * step + start
+        values[index == count - 1] = stop
+        return values
+
+    return at
 
 
 def _value_and_slope(s: np.ndarray, roots: np.ndarray,
@@ -270,7 +290,7 @@ def _value_and_slope(s: np.ndarray, roots: np.ndarray,
     """f(s) = sum_n w_n sin^2(s sqrt(n)) and f'(s) = sum_n w_n sqrt(n) sin(2 s sqrt(n))."""
     value = np.empty(s.size)
     slope = np.empty(s.size)
-    rows = max(1, _SCAN_BATCH // roots.size)
+    rows = max(1, _BATCH_ELEMENTS // roots.size)
     for start in range(0, s.size, rows):
         theta = np.multiply.outer(s[start : start + rows], roots)
         value[start : start + rows] = np.sin(theta) ** 2 @ weights
@@ -297,6 +317,12 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     A grid point's value does not depend on which points share its call (see
     `jc_deexcitation`), so any block size reproduces the dense scan's values.
 
+    The grid itself is never built: grid points are computed from their
+    indices with linspace's formula (bitwise the same values), and every
+    angle-by-term matrix is evaluated in batches of a fixed element budget,
+    so memory does not grow with the window.  A window whose grid step
+    underflows to 0 raises ValueError.
+
     During the scan, ladder terms whose thermal weight sits below float64
     resolution are dropped (they cannot change a double); the refinement stage
     evaluates the full truncation.  Deterministic for fixed grid parameters.
@@ -312,11 +338,12 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     scan_trunc = FockTruncation.thermal(beta_e, scan_cap)
     roots, weights = _ladder(beta_e, scan_cap)
     count = int(math.ceil((s_hi - s_lo) / grid_step)) + 1
-    grid = np.linspace(s_lo, s_hi, count)
+    grid = _linspace_at(s_lo, s_hi, count)
 
     block = max(1, int(_SCAN_WIDTH / grid_step))
-    firsts = grid[::block]
-    lasts = grid[np.minimum(np.arange(1, firsts.size + 1) * block, count) - 1]
+    starts = np.arange(0, count, block)
+    firsts = grid(starts)
+    lasts = grid(np.minimum(starts + block, count) - 1)
     centres = 0.5 * (firsts + lasts)
     radii = np.maximum(centres - firsts, lasts - centres)
     centre_value, centre_slope = _value_and_slope(centres, roots, weights)
@@ -329,24 +356,26 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     eps = np.finfo(float).eps
     slack = 1e-12 + 8.0 * eps * (s_abs * (float(weights @ roots) + 2.0 * curvature) + scan_cap)
     upper = centre_value + np.abs(centre_slope) * radii + curvature * radii**2 + slack
+    rows = max(1, _BATCH_ELEMENTS // scan_cap)
 
-    def block_points(blocks: np.ndarray) -> np.ndarray:
-        points = (blocks[:, None] * block + np.arange(block)).ravel()
-        return points[points < count]
+    def best_point(blocks: np.ndarray) -> tuple[int, float]:
+        """First grid index of largest value over the points of ascending `blocks`, and the value."""
+        # Point j of the run lies at blocks[j // block] * block + j % block; only
+        # the grid's last block can be short.
+        total = (blocks.size - 1) * block + min(block, count - int(blocks[-1]) * block)
+        best_i, best_v = 0, -1.0
+        for start in range(0, total, rows):
+            j = np.arange(start, min(start + rows, total))
+            points = blocks[j // block] * block + j % block
+            vals = jc_deexcitation(grid(points), spectrum, scan_trunc)
+            i = int(np.argmax(vals))
+            if vals[i] > best_v:
+                best_i, best_v = int(points[i]), float(vals[i])
+        return best_i, best_v
 
-    best_block = block_points(np.array([int(np.argmax(centre_value))]))
-    lower = float(np.max(jc_deexcitation(grid[best_block], spectrum, scan_trunc)))
-    survivors = np.flatnonzero(upper >= lower)
-    best_i, best_v = 0, -1.0
-    per_batch = max(1, _SCAN_BATCH // (block * scan_cap))
-    for start in range(0, survivors.size, per_batch):
-        points = block_points(survivors[start : start + per_batch])
-        vals = jc_deexcitation(grid[points], spectrum, scan_trunc)
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v = float(vals[i])
-            best_i = int(points[i])
-    best_s = float(grid[best_i])
+    _, lower = best_point(np.array([int(np.argmax(centre_value))]))
+    best_i, _ = best_point(np.flatnonzero(upper >= lower))
+    best_s = float(grid(np.array([best_i]))[0])
     lo = max(s_lo, best_s - grid_step)
     hi = min(s_hi, best_s + grid_step)
     s_star = _golden_max(lambda s: jc_deexcitation(s, spectrum, trunc), lo, hi)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .thermal_core import (
+    _BATCH_ELEMENTS,
     CompositeSpec,
     EnergySpectrum,
     _boltzmann_weights,
@@ -173,23 +174,30 @@ def oracle_optimal_round(p_system, spec, max_dim: int = 8) -> OracleRound:
     inner enumeration collapses to curve evaluations.  That geometric identity
     is cross-checked against literal matrix enumeration in the test suite.
 
+    The arrangements are taken in chunks of a fixed element budget and the
+    per-target maxima folded across chunks; a maximum is exact, so the result
+    does not depend on the chunking.
+
     `max_dim` bounds the joint dimension n, since the arrangements number n!.
     The default of 8 is a time and memory guard: at n = 9 one call took
-    0.2-0.35 s and 190 MB peak RSS (2-vCPU Xeon), and each further level
-    multiplies both by about n.
+    0.25-0.3 s and 88 MB peak RSS (2-vCPU Xeon), most of it the cached table
+    of the 9! arrangements, and each further level multiplies both by about n.
     """
     spec = _as_composite(spec)
     n = spec.dim
     if n > max_dim:
         raise ValueError(f"joint dimension {n} exceeds the enumeration guard {max_dim}")
     joint = spec.joint_population(p_system)
-    X, Y = _curve_elbows(joint[_permutation_table(n)], spec)
-
+    table = _permutation_table(n)
     # Curve height of every arrangement at the cumulative weight of the l+1
     # lowest system levels (the largest-weight level set of that size).
-    group_w = _boltzmann_weights(spec).reshape(spec.d, spec.r).sum(axis=1)
-    partial = np.array([np.minimum(_stacked_curve_heights(X, Y, x_target), 1.0).max()
-                        for x_target in np.cumsum(group_w)])
+    targets = np.cumsum(_boltzmann_weights(spec).reshape(spec.d, spec.r).sum(axis=1))
+    partial = np.full(targets.size, -np.inf)
+    rows = max(1, _BATCH_ELEMENTS // n)
+    for start in range(0, len(table), rows):
+        X, Y = _curve_elbows(joint[table[start : start + rows]], spec)
+        np.maximum(partial, [np.minimum(_stacked_curve_heights(X, Y, x), 1.0).max()
+                             for x in targets], out=partial)
     return OracleRound(ground=float(partial[0]), partial_sums=partial)
 
 
@@ -238,13 +246,21 @@ def run_ladder_protocol(p0, spectrum, rounds: int) -> ProtocolTrace:
     return ProtocolTrace(label="ladder", populations=np.array(history), spec=spectrum)
 
 
+def _ground_population(p: float, lowest: float = 0.0) -> float:
+    """A qubit ground population; NaN or a value outside [lowest, 1] raises ValueError."""
+    if not lowest <= p <= 1.0:
+        raise ValueError(f"ground population must lie in [{lowest:g}, 1], got {p}")
+    return p
+
+
 def ideal_ground_population(k: int, beta_e: float, p0: float) -> float:
     """Ground population of the qubit full-swap protocol after k rounds."""
-    return 1.0 - math.exp(-k * beta_e) * (1.0 - p0)
+    return 1.0 - math.exp(-k * beta_e) * (1.0 - _ground_population(p0))
 
 
 def ladder_ground_population(blocks: int, spectrum, p0: float) -> float:
     """Ground population after `blocks` passes of d-1 ladder rounds each."""
+    _ground_population(p0)
     spectrum_omega = spectrum.levels[-1] - spectrum.levels[0]
     return 1.0 - math.exp(-blocks * spectrum.beta * spectrum_omega) * (1.0 - p0)
 
@@ -307,6 +323,7 @@ def noisy_fixed_point(eps: float, beta_e: float) -> float:
 
 def noisy_ground_population(k: int, eps: float, beta_e: float, p0: float) -> float:
     """Closed-form ground population after k noisy swap rounds."""
+    _ground_population(p0)
     z = 1.0 + math.exp(-beta_e)
     ratio = (1.0 - eps) * z - 1.0
     if 2.0 - (1.0 - eps) * z == 0.0:
@@ -386,13 +403,17 @@ def to_determinant_scan(
 ) -> DeterminantScan:
     """Locate the determinant minimum on a coarse-to-fine (q, lam) grid.
 
+    Each grid is evaluated in batches of rows of a fixed element budget; the
+    minimizer is the grid's first minimum in C order (q-major), as an argmin
+    over the whole grid would give, so a later batch wins only on a strictly
+    smaller value.  `p` must lie in [1/2, 1].
+
     Whenever lambda_max exceeds the two-level threshold and p sits strictly
     below the protocol's fixed point (the nontrivial cooling regime), the
     minimum must land on the corner (q, lam) = (1 - p, lambda_max); the scan
     raises if the grid disagrees.
     """
-    if p < 0.5:
-        raise ValueError(f"ground population must satisfy p >= 1/2, got {p}")
+    _ground_population(p, 0.5)
     if not 0.0 < lambda_max <= 1.0:
         raise ValueError(f"lambda_max must lie in (0, 1], got {lambda_max}")
     beta_e = spectrum.beta * spectrum.gap
@@ -405,10 +426,14 @@ def to_determinant_scan(
         nl = max(2, int(math.ceil((l_hi - l_lo) / step)) + 1)
         qs = np.linspace(q_lo, q_hi, nq)
         ls = np.linspace(l_lo, l_hi, nl)
-        f = thermal_contact_determinant(qs[:, None], ls[None, :], p, beta_e)
-        flat = int(np.argmin(f))
-        iq, il = np.unravel_index(flat, f.shape)
-        return float(qs[iq]), float(ls[il]), float(f[iq, il])
+        best_q, best_l, best_f = 0, 0, math.inf
+        rows = max(1, _BATCH_ELEMENTS // nl)
+        for start in range(0, nq, rows):
+            f = thermal_contact_determinant(qs[start : start + rows, None], ls, p, beta_e)
+            iq, il = np.unravel_index(int(np.argmin(f)), f.shape)
+            if f[iq, il] < best_f:
+                best_q, best_l, best_f = start + iq, il, f[iq, il]
+        return float(qs[best_q]), float(ls[best_l]), float(best_f)
 
     q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, grid_step)
     fine = grid_step / refine_factor
@@ -443,6 +468,7 @@ def markovian_best(p: float, spectrum) -> float:
     expected for every Markovian thermal operation; only this dephasing family
     is exercised numerically here.
     """
+    _ground_population(p)
     beta_e = spectrum.beta * spectrum.gap
     thermal_ground = 1.0 / (1.0 + math.exp(-beta_e))
     return max(p, 1.0 - p, thermal_ground)
@@ -450,6 +476,7 @@ def markovian_best(p: float, spectrum) -> float:
 
 def markovian_scan(p: float, spectrum, n_grid: int = 10_000) -> float:
     """Grid version of markovian_best: maximize over the allowed contact weights."""
+    _ground_population(p)
     beta_e = spectrum.beta * spectrum.gap
     x = math.exp(-beta_e)
     lam_cap = 1.0 / (1.0 + x)

@@ -43,13 +43,20 @@ __all__ = [
 BASE_TOLERANCE = 1e-12
 #: Relative tolerance used when comparing thermo-majorization curves.
 CURVE_RTOL = 1e-9
+#: Largest temporary array, in elements, that the grid scans and the exhaustive
+#: oracle build at once (0.5 MB of float64); larger inputs stream in batches.
+_BATCH_ELEMENTS = 1 << 16
 
 
 def default_tolerance() -> float:
     """Absolute tolerance floor, overridable through the XHBAC_TOL env var."""
     raw = os.environ.get("XHBAC_TOL")
-    if raw is None:
-        return BASE_TOLERANCE
+    return BASE_TOLERANCE if raw is None else _parse_tolerance(raw)
+
+
+@lru_cache(maxsize=16)
+def _parse_tolerance(raw: str) -> float:
+    """XHBAC_TOL as a float, parsed once per distinct value; a refused value raises every time."""
     value = float(raw)
     if not 0.0 < value < math.inf:  # also rejects NaN
         raise ValueError(f"XHBAC_TOL must be positive and finite, got {raw!r}")
@@ -547,7 +554,7 @@ def extremal_points(p, spectrum, max_dim: int = 8, dedup_tol: float = 1e-10) -> 
 
     Refuses dimensions above `max_dim` because the number of orders grows as
     d factorial.  The default of 8 is a time and memory guard, not a limit of
-    the method: at d = 9 one call took 1.2-1.4 s and 210-260 MB peak RSS
+    the method: at d = 9 one call took 1.2-1.5 s and 200-235 MB peak RSS
     (2-vCPU Xeon), and each further level multiplies both by about d.
     """
     p = _population_row(p, len(spectrum.levels))

@@ -35,6 +35,7 @@ from xhbac import (
     upper_bound_G,
 )
 from xhbac import bosonic_sim
+from conftest import traced_peak_mb
 
 QUBIT = EnergySpectrum((0.0, 1.0), 1.0)
 TRUNC = FockTruncation.thermal(1.0, 60)
@@ -193,8 +194,8 @@ def _dense_interaction_time(spectrum, s_lo, s_hi, trunc, grid_step=1e-3):
     count = int(math.ceil((s_hi - s_lo) / grid_step)) + 1
     grid = np.linspace(s_lo, s_hi, count)
     best_s, best_v = s_lo, -1.0
-    for start in range(0, count, 200_000):
-        block = grid[start : start + 200_000]
+    for start in range(0, count, 20_000):
+        block = grid[start : start + 20_000]
         vals = jc_deexcitation(block, spectrum, scan_trunc)
         i = int(np.argmax(vals))
         if vals[i] > best_v:
@@ -220,7 +221,10 @@ def _dense_interaction_time(spectrum, s_lo, s_hi, trunc, grid_step=1e-3):
     (3.0, 17.0, 17.127, 1e-3, 60),    # exactly one full block
     (1.0, 0.0, 3000.0, 1e-2, 60),     # coarse grid
     (0.5, 40.0, 400.0, 0.3, 80),      # blocks of a single point
-    (1.0, 0.0, 400.0, 0.0129, 60),    # blocks of nine points
+    (1.0, 0.0, 400.0, 0.0129, 60),    # blocks of nine points; the step does not divide the width
+    (1.0, -37.3, 250.0, 1e-3, 60),    # s_lo < 0
+    (1.0, 5.0, 7.5, 1e-3, 60),        # the best grid point is s_hi
+    (1.0, 0.0, 5000.0, 1e-3, 60),     # the default window, 5,000,001 points
 ])
 def test_pruned_scan_equals_the_dense_grid_scan(beta_e, s_lo, s_hi, grid_step, n_max):
     spectrum = EnergySpectrum((0.0, 1.0), beta_e)
@@ -240,6 +244,44 @@ def test_pruned_scan_equals_the_dense_grid_scan_on_random_windows(beta_e, s_lo, 
     best = optimize_interaction_time(spectrum, s_lo, s_lo + length, trunc, grid_step=grid_step)
     assert (best.s_star, best.probability) == _dense_interaction_time(
         spectrum, s_lo, s_lo + length, trunc, grid_step)
+
+
+def test_best_grid_point_of_the_short_rising_window_is_s_hi():
+    grid = np.linspace(5.0, 7.5, 2501)
+    assert int(np.argmax(jc_deexcitation(grid, QUBIT, TRUNC))) == grid.size - 1
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.0, 5000.0, 5_000_001),
+    (-37.3, 250.0, 287_301),
+    (123.4, 170.0, 46_601),
+    (-5000.0, -4000.0, 1_000_001),
+    (0.0, 400.0, 31_009),
+    (2.0, 2.05, 51),
+])
+def test_grid_points_are_bitwise_those_of_linspace(start, stop, count):
+    at = bosonic_sim._linspace_at(start, stop, count)
+    dense = np.linspace(start, stop, count)
+    for lo in range(0, count, 1 << 20):
+        index = np.arange(lo, min(lo + (1 << 20), count))
+        assert at(index).tobytes() == dense[index].tobytes()
+
+
+def test_grid_step_that_underflows_is_refused():
+    with pytest.raises(ValueError, match="underflows"):
+        bosonic_sim._linspace_at(0.0, 5e-324, 3)
+
+
+@pytest.mark.parametrize("budget", [7, 1000, 1 << 20])
+def test_scan_does_not_depend_on_the_batch_budget(budget, monkeypatch):
+    want = optimize_interaction_time(QUBIT, -3.0, 300.0, TRUNC)
+    monkeypatch.setattr(bosonic_sim, "_BATCH_ELEMENTS", budget)
+    assert optimize_interaction_time(QUBIT, -3.0, 300.0, TRUNC) == want
+
+
+def test_wide_window_scan_streams_its_grid():
+    # the 5,000,001-point grid alone takes 40 MB
+    assert traced_peak_mb(lambda: optimize_interaction_time(QUBIT, 0.0, 5000.0, TRUNC)) < 8.0
 
 
 def test_wide_window_optimum_is_pinned():

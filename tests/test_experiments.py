@@ -280,6 +280,18 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "markovian-best --betaE 1 --p0 nan",
+    "markovian-best --betaE 1 --p0 1.5",
+    "noisy-ground --k 2 --eps 0.1 --betaE 1 --p0 1.5",
+    "ideal-ground --k 2 --betaE 1 --p0 -2",
+    "ladder-ground --E 0,1,2 --blocks 2 --p0 1.5",
+])
+def test_cli_queries_refuse_ground_populations_outside_the_unit_interval(argv, capsys):
+    assert main(["query", *argv.split()]) == 2
+    assert "ground population" in capsys.readouterr().err
+
+
 def test_cli_figure_writes_csv(tmp_path, capsys):
     out = tmp_path / "fig8.csv"
     rc = main(["figure", "fig8", "--out", str(out),

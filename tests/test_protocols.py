@@ -39,9 +39,10 @@ from xhbac import (
     to_determinant_scan,
     verify_gibbs_stochastic,
 )
+from xhbac import protocols
 from xhbac.protocols import _stacked_curve_heights
-from xhbac.thermal_core import _curve_elbows
-from conftest import random_spectrum
+from xhbac.thermal_core import _curve_elbows, _permutation_table
+from conftest import random_spectrum, traced_peak_mb
 
 Q = math.exp(-1.0)
 
@@ -289,6 +290,28 @@ def test_optimal_round_achieves_the_oracle(rng):
         assert np.all(partial >= oracle.partial_sums - 1e-10)
 
 
+@pytest.mark.parametrize("budget", [300, 5000])
+def test_oracle_does_not_depend_on_the_batch_budget(budget, rng, monkeypatch):
+    shapes = [(8, 1), (4, 2), (5, 1), (2, 3)]
+    cases = []
+    for d, r in shapes:
+        system = random_spectrum(rng, d)
+        ancilla = None if r == 1 else EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 2.0, r))),
+                                                       system.beta)
+        cases.append((rng.dirichlet(np.ones(d)), CompositeSpec(system=system, ancilla=ancilla)))
+    want = [oracle_optimal_round(p, spec).partial_sums for p, spec in cases]
+    monkeypatch.setattr(protocols, "_BATCH_ELEMENTS", budget)
+    for (p, spec), partial in zip(cases, want):
+        assert (oracle_optimal_round(p, spec).partial_sums == partial).all()
+
+
+def test_oracle_memory_is_bounded_at_eight_levels(rng):
+    spec = CompositeSpec(system=random_spectrum(rng, 8))
+    p = rng.dirichlet(np.ones(8))
+    _permutation_table(8)  # cached across calls; the elbows of all 8! rows alone take 5.8 MB
+    assert traced_peak_mb(lambda: oracle_optimal_round(p, spec)) < 6.0
+
+
 def test_oracle_dimension_guard():
     spec = CompositeSpec(
         system=EnergySpectrum((0.0, 1.0, 2.0), 1.0),
@@ -533,6 +556,64 @@ def test_determinant_scan_maximally_mixed_orbit_collapses():
     assert scan.lambda_star == 1.0
 
 
+def _dense_determinant_scan(p, spectrum, lambda_max=1.0, grid_step=1e-3, refine_factor=10):
+    """(q*, lam*, f*) from one array per grid: the coarse-to-fine scan without batches."""
+    beta_e = spectrum.beta * spectrum.gap
+
+    def scan(q_lo, q_hi, l_lo, l_hi, step):
+        nq = max(2, int(math.ceil((q_hi - q_lo) / step)) + 1) if q_hi > q_lo else 1
+        nl = max(2, int(math.ceil((l_hi - l_lo) / step)) + 1)
+        qs, ls = np.linspace(q_lo, q_hi, nq), np.linspace(l_lo, l_hi, nl)
+        f = thermal_contact_determinant(qs[:, None], ls[None, :], p, beta_e)
+        iq, il = np.unravel_index(int(np.argmin(f)), f.shape)
+        return float(qs[iq]), float(ls[il]), float(f[iq, il])
+
+    q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, grid_step)
+    return scan(max(1.0 - p, q0 - grid_step), min(p, q0 + grid_step),
+                max(0.0, l0 - grid_step), min(lambda_max, l0 + grid_step),
+                grid_step / refine_factor)
+
+
+@pytest.mark.parametrize("budget", [None, 1000, 1 << 22])
+@pytest.mark.parametrize("p, beta_e, lambda_max", [
+    (0.99, 1.0, 1.0),
+    (0.7, 1.0, 1.0),
+    (0.6, 0.4, 0.95),
+    (0.5, 1.0, 1.0),
+    (1.0, 2.0, 0.5),
+    (0.75, 1.0, 0.3),  # equal minima along lam = 0, in more than one batch
+])
+def test_determinant_scan_equals_the_dense_scan(p, beta_e, lambda_max, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(protocols, "_BATCH_ELEMENTS", budget)
+    spectrum = EnergySpectrum((0.0, 1.0), beta_e)
+    scan = to_determinant_scan(p, spectrum, lambda_max=lambda_max)
+    want = _dense_determinant_scan(p, spectrum, lambda_max)
+    assert (scan.q_star, scan.lambda_star, scan.f_star) == want
+
+
+def test_determinant_scan_keeps_the_first_of_equal_minima():
+    # Without contact the determinant is p(1 - p) for every q, so the coarse
+    # grid's minimum at p = 0.75, lam_max = 0.3 is tied along lam = 0 over rows
+    # that fall in different batches; the first in C order must win.
+    p, lambda_max = 0.75, 0.3
+    qs, ls = np.linspace(0.25, 0.75, 501), np.linspace(0.0, lambda_max, 301)
+    f = thermal_contact_determinant(qs[:, None], ls[None, :], p, 1.0)
+    tied_rows = np.argwhere(f == f.min())[:, 0]
+    assert len(set(tied_rows // (protocols._BATCH_ELEMENTS // ls.size))) > 1
+    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
+    scan = to_determinant_scan(p, spectrum, lambda_max=lambda_max)
+    assert (scan.q_star, scan.lambda_star, scan.f_star) == _dense_determinant_scan(
+        p, spectrum, lambda_max)
+    assert abs(scan.q_star - qs[tied_rows[0]]) <= 1e-3  # refined around the first tied row
+
+
+def test_determinant_scan_memory_is_bounded():
+    # the single-array coarse grid is 981 x 1001 doubles, 7.5 MB per temporary
+    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
+    assert traced_peak_mb(lambda: to_determinant_scan(0.99, spectrum, lambda_max=1.0)) < 4.0
+
+
 def test_determinant_scan_rejects_low_ground_population():
     with pytest.raises(ValueError):
         to_determinant_scan(0.4, EnergySpectrum((0.0, 1.0), 1.0))
@@ -560,6 +641,25 @@ def test_markovian_best_examples():
     assert markovian_best(0.9, spectrum) == 0.9
     flat = EnergySpectrum((0.0, 1.0), 0.0)
     assert markovian_best(0.5, flat) == 0.5
+
+
+_QUBIT = EnergySpectrum((0.0, 1.0), 1.0)
+GROUND_POPULATION_CALLS = {
+    "markovian_best": lambda p: markovian_best(p, _QUBIT),
+    "markovian_scan": lambda p: markovian_scan(p, _QUBIT, 100),
+    "ideal_ground_population": lambda p: ideal_ground_population(3, 1.0, p),
+    "ladder_ground_population": lambda p: ladder_ground_population(
+        2, EnergySpectrum((0.0, 1.0, 2.0), 1.0), p),
+    "noisy_ground_population": lambda p: noisy_ground_population(3, 0.1, 1.0, p),
+    "to_determinant_scan": lambda p: to_determinant_scan(p, _QUBIT),
+}
+
+
+@pytest.mark.parametrize("p", [math.nan, -2.0, 1.5, math.inf], ids=["nan", "-2", "1.5", "inf"])
+@pytest.mark.parametrize("name", sorted(GROUND_POPULATION_CALLS))
+def test_ground_populations_outside_the_unit_interval_are_refused(name, p):
+    with pytest.raises(ValueError, match="ground population"):
+        GROUND_POPULATION_CALLS[name](p)
 
 
 def test_markovian_scan_never_beats_the_bath(rng):

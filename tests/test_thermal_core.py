@@ -14,6 +14,7 @@ from xhbac import (
     EnergySpectrum,
     beta_order,
     beta_permutation,
+    default_tolerance,
     extremal_points,
     gibbs_state,
     maximally_active,
@@ -21,8 +22,8 @@ from xhbac import (
     thermo_majorizes,
     verify_gibbs_stochastic,
 )
-from xhbac.thermal_core import (_curve_elbows, _merge_images, _permutation_table, _row_elbows,
-                                _row_heights)
+from xhbac.thermal_core import (BASE_TOLERANCE, _curve_elbows, _merge_images, _parse_tolerance,
+                                _permutation_table, _row_elbows, _row_heights)
 from conftest import random_spectrum
 
 Q = math.exp(-1.0)
@@ -681,3 +682,20 @@ def test_tolerance_env_override(monkeypatch):
     monkeypatch.setenv("XHBAC_TOL", "-1")
     with pytest.raises(ValueError):
         verify_gibbs_stochastic(off, spectrum)
+
+
+def test_tolerance_env_is_parsed_once_per_value(monkeypatch):
+    monkeypatch.setenv("XHBAC_TOL", "2.5e-7")
+    assert default_tolerance() == 2.5e-7
+    hits = _parse_tolerance.cache_info().hits
+    assert default_tolerance() == 2.5e-7
+    assert _parse_tolerance.cache_info().hits == hits + 1
+    monkeypatch.setenv("XHBAC_TOL", "4e-7")
+    assert default_tolerance() == 4e-7  # a changed value takes effect on the next call
+    for bad in ("nan", "inf", "0", "-1e-9", "junk"):
+        monkeypatch.setenv("XHBAC_TOL", bad)
+        for _ in range(2):  # a refused value is refused on every call
+            with pytest.raises(ValueError):
+                default_tolerance()
+    monkeypatch.delenv("XHBAC_TOL")
+    assert default_tolerance() == BASE_TOLERANCE
