@@ -20,10 +20,8 @@ from .thermal_core import (
 )
 from .protocols import (
     DeterminantScan,
-    NoiseSpec,
     OracleRound,
     ProtocolTrace,
-    QubitThermalOp,
     beta_swap_matrix,
     epsilon_noisy_trace,
     epsilon_threshold,

@@ -306,7 +306,7 @@ def criterion_markovian_ceiling(seed: int = 0) -> CriterionResult:
         spectrum = EnergySpectrum((0.0, 1.0), beta_e)
         thermal_ground = 1.0 / (1.0 + math.exp(-beta_e))
         p = float(rng.uniform(0.5, thermal_ground))
-        best = markovian_scan(p, spectrum, n_grid=10_000)
+        best = markovian_scan(p, spectrum)
         worst = max(worst, best - thermal_ground)
     return _result(10, "markovian-ceiling", start, 1.0, worst <= 1e-12,
                    f"max excess over thermal ground {worst:.2e} (tol 1e-12)")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thermal_core import _BATCH_ELEMENTS
+from .thermal_core import _BATCH_ELEMENTS, _ground_population, _round_count
 
 __all__ = [
     "FockTruncation",
@@ -182,12 +182,12 @@ def reuse_protocol_trace(p0: float, trunc: FockTruncation, spectrum, rounds: int
     number of rounds would push more than `tol` of probability past the cutoff.
     """
     beta_e = spectrum.beta * spectrum.gap
-    if math.exp(-beta_e * (trunc.n_max - rounds + 1)) > tol:
+    if math.exp(-beta_e * (trunc.n_max - _round_count(rounds) + 1)) > tol:
         raise ValueError(
             f"truncation n_max={trunc.n_max} too small for {rounds} rounds at beta*E={beta_e}"
         )
     mode = ModePopulations.thermal(beta_e, trunc.n_max)
-    state = JointDiagState.product([p0, 1.0 - p0], mode)
+    state = JointDiagState.product([_ground_population(p0), 1.0 - p0], mode)
     ground = np.empty(rounds + 1)
     ground[0] = state.qubit_marginal[0]
     for k in range(1, rounds + 1):
@@ -602,8 +602,8 @@ def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
     finite and non-negative.
     """
     mode = ModePopulations.thermal(spectrum.beta * spectrum.gap, trunc.n_max)
-    state = JointDiagState.product([p0, 1.0 - p0], mode)
-    ground = np.empty(rounds + 1)
+    state = JointDiagState.product([_ground_population(p0), 1.0 - p0], mode)
+    ground = np.empty(_round_count(rounds) + 1)
     ground[0] = state.qubit_marginal[0]
     for k in range(1, rounds + 1):
         state = jc_round(pauli_x(state), 1.0, s)

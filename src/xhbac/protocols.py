@@ -24,11 +24,11 @@ from .thermal_core import (
     _BATCH_ELEMENTS,
     CompositeSpec,
     EnergySpectrum,
-    _boltzmann_weights,
     _curve_elbows,
-    _level_array,
+    _ground_population,
     _permutation_table,
     _population_row,
+    _round_count,
     _row_elbows,
     _row_heights,
     as_population,
@@ -37,8 +37,6 @@ from .thermal_core import (
 
 __all__ = [
     "ProtocolTrace",
-    "NoiseSpec",
-    "QubitThermalOp",
     "OracleRound",
     "DeterminantScan",
     "optimal_round",
@@ -63,14 +61,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProtocolTrace:
-    """Populations of the target system after each round; row k is round k.
+    """Populations of the target system after each round; row k is round k."""
 
-    `spec` carries the spectrum or composite space the trace was produced on.
-    """
-
-    label: str
     populations: np.ndarray
-    spec: object | None = None
 
     def __post_init__(self) -> None:
         pops = np.asarray(self.populations, dtype=float)
@@ -115,14 +108,12 @@ def optimal_round(p_system, spec) -> np.ndarray:
 def run_optimal_protocol(p0, spec, rounds: int) -> ProtocolTrace:
     """Iterate the optimal round, refreshing the ancilla state every round."""
     spec = _as_composite(spec)
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
     p = as_population(p0, spec.d)
     history = [p]
-    for _ in range(rounds):
+    for _ in range(_round_count(rounds)):
         p = optimal_round(p, spec)
         history.append(p)
-    return ProtocolTrace(label="optimal", populations=np.array(history), spec=spec)
+    return ProtocolTrace(np.array(history))
 
 
 @dataclass(frozen=True)
@@ -136,11 +127,6 @@ class OracleRound:
 
     ground: float
     partial_sums: np.ndarray
-
-    @property
-    def best_sorted(self) -> np.ndarray:
-        """System marginal (sorted descending) achieving every partial-sum maximum."""
-        return np.diff(self.partial_sums, prepend=0.0)
 
 
 def _stacked_curve_heights(X: np.ndarray, Y: np.ndarray, x: float) -> np.ndarray:
@@ -163,7 +149,7 @@ def _stacked_curve_heights(X: np.ndarray, Y: np.ndarray, x: float) -> np.ndarray
     return y0 + (y1 - y0) * np.clip(t, 0.0, 1.0)
 
 
-def oracle_optimal_round(p_system, spec, max_dim: int = 8) -> OracleRound:
+def oracle_optimal_round(p_system, spec) -> OracleRound:
     """Exhaustively maximize the round outcome over extremal unitaries and thermalizations.
 
     Every permutation of the joint populations (the extremal unitary actions
@@ -176,22 +162,16 @@ def oracle_optimal_round(p_system, spec, max_dim: int = 8) -> OracleRound:
 
     The arrangements are taken in chunks of a fixed element budget and the
     per-target maxima folded across chunks; a maximum is exact, so the result
-    does not depend on the chunking.
-
-    `max_dim` bounds the joint dimension n, since the arrangements number n!.
-    The default of 8 is a time and memory guard: at n = 9 one call took
-    0.25-0.3 s and 88 MB peak RSS (2-vCPU Xeon), most of it the cached table
-    of the 9! arrangements, and each further level multiplies both by about n.
+    does not depend on the chunking.  Refuses a joint dimension n above 8,
+    since the arrangements number n! (see `_permutation_table`).
     """
     spec = _as_composite(spec)
     n = spec.dim
-    if n > max_dim:
-        raise ValueError(f"joint dimension {n} exceeds the enumeration guard {max_dim}")
     joint = spec.joint_population(p_system)
     table = _permutation_table(n)
     # Curve height of every arrangement at the cumulative weight of the l+1
     # lowest system levels (the largest-weight level set of that size).
-    targets = np.cumsum(_boltzmann_weights(spec).reshape(spec.d, spec.r).sum(axis=1))
+    targets = np.cumsum(spec._boltzmann.reshape(spec.d, spec.r).sum(axis=1))
     partial = np.full(targets.size, -np.inf)
     rows = max(1, _BATCH_ELEMENTS // n)
     for start in range(0, len(table), rows):
@@ -206,7 +186,7 @@ def beta_swap_matrix(i: int, j: int, spectrum) -> np.ndarray:
     d = len(spectrum.levels)
     if not (0 <= i < j < d):
         raise ValueError(f"need 0 <= i < j < {d}, got i={i}, j={j}")
-    levels = _level_array(spectrum)
+    levels = spectrum.levels
     x = math.exp(-spectrum.beta * (levels[j] - levels[i]))
     M = np.eye(d)
     M[i, i] = 1.0 - x
@@ -223,7 +203,7 @@ def qudit_ladder_round(p, spectrum) -> np.ndarray:
     which matches composing their matrices bottom-pair-leftmost.
     """
     p = as_population(p, len(spectrum.levels))
-    levels = _level_array(spectrum)
+    levels = spectrum.levels
     d = p.size
     if d < 2:
         raise ValueError("ladder round needs at least two levels")
@@ -240,29 +220,29 @@ def qudit_ladder_round(p, spectrum) -> np.ndarray:
 def run_ladder_protocol(p0, spectrum, rounds: int) -> ProtocolTrace:
     p = as_population(p0, len(spectrum.levels))
     history = [p]
-    for _ in range(rounds):
+    for _ in range(_round_count(rounds)):
         p = qudit_ladder_round(p, spectrum)
         history.append(p)
-    return ProtocolTrace(label="ladder", populations=np.array(history), spec=spectrum)
+    return ProtocolTrace(np.array(history))
 
 
-def _ground_population(p: float, lowest: float = 0.0) -> float:
-    """A qubit ground population; NaN or a value outside [lowest, 1] raises ValueError."""
-    if not lowest <= p <= 1.0:
-        raise ValueError(f"ground population must lie in [{lowest:g}, 1], got {p}")
-    return p
+def _deficit(eps: float) -> float:
+    """A de-excitation deficit epsilon; NaN or a value outside [0, 1] raises ValueError."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {eps}")
+    return eps
 
 
 def ideal_ground_population(k: int, beta_e: float, p0: float) -> float:
     """Ground population of the qubit full-swap protocol after k rounds."""
-    return 1.0 - math.exp(-k * beta_e) * (1.0 - _ground_population(p0))
+    return 1.0 - math.exp(-_round_count(k) * beta_e) * (1.0 - _ground_population(p0))
 
 
 def ladder_ground_population(blocks: int, spectrum, p0: float) -> float:
     """Ground population after `blocks` passes of d-1 ladder rounds each."""
     _ground_population(p0)
     spectrum_omega = spectrum.levels[-1] - spectrum.levels[0]
-    return 1.0 - math.exp(-blocks * spectrum.beta * spectrum_omega) * (1.0 - p0)
+    return 1.0 - math.exp(-_round_count(blocks) * spectrum.beta * spectrum_omega) * (1.0 - p0)
 
 
 def epsilon_threshold(beta_e: float) -> float:
@@ -270,52 +250,10 @@ def epsilon_threshold(beta_e: float) -> float:
     return 1.0 / (1.0 + math.exp(beta_e) + math.exp(2.0 * beta_e))
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """De-excitation deficit of an imperfect swap, with its optimality-range flag."""
-
-    epsilon: float
-    within_bound: bool
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-
-    @classmethod
-    def for_qubit(cls, epsilon: float, spectrum) -> "NoiseSpec":
-        beta_e = spectrum.beta * spectrum.gap
-        return cls(epsilon=float(epsilon), within_bound=epsilon <= epsilon_threshold(beta_e))
-
-
-@dataclass(frozen=True)
-class QubitThermalOp:
-    """Qubit thermal operation parametrized by transfer weight and coherence retention.
-
-    `lam` is the excited-to-ground transfer probability; `c` scales the
-    off-diagonal element and is capped by complete positivity at
-    sqrt((1 - lam e^{-beta E})(1 - lam)).
-    """
-
-    lam: float
-    c: float = 0.0
-
-    def validate(self, beta_e: float) -> "QubitThermalOp":
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        cap = math.sqrt((1.0 - self.lam * math.exp(-beta_e)) * (1.0 - self.lam))
-        if not 0.0 <= self.c <= cap + 1e-12:
-            raise ValueError(f"c={self.c} outside complete-positivity cap {cap}")
-        return self
-
-    def population_matrix(self, beta_e: float) -> np.ndarray:
-        x = math.exp(-beta_e)
-        return np.array([[1.0 - self.lam * x, self.lam], [self.lam * x, 1.0 - self.lam]])
-
-
 def noisy_fixed_point(eps: float, beta_e: float) -> float:
     """Asymptotic ground population of the noisy swap protocol."""
     z = 1.0 + math.exp(-beta_e)
-    denom = 2.0 - (1.0 - eps) * z
+    denom = 2.0 - (1.0 - _deficit(eps)) * z
     if denom == 0.0:
         raise ValueError("degenerate case beta_e = 0, eps = 0 has no fixed point")
     return 1.0 - eps / denom
@@ -324,35 +262,32 @@ def noisy_fixed_point(eps: float, beta_e: float) -> float:
 def noisy_ground_population(k: int, eps: float, beta_e: float, p0: float) -> float:
     """Closed-form ground population after k noisy swap rounds."""
     _ground_population(p0)
+    _round_count(k)
     z = 1.0 + math.exp(-beta_e)
-    ratio = (1.0 - eps) * z - 1.0
+    ratio = (1.0 - _deficit(eps)) * z - 1.0
     if 2.0 - (1.0 - eps) * z == 0.0:
         return p0
     star = noisy_fixed_point(eps, beta_e)
     return star - ratio**k * (star - p0)
 
 
-def epsilon_noisy_trace(p0: float, eps, spectrum, k: int) -> np.ndarray:
-    """Iterate the noisy swap recursion p' = (1 - lam e^{-beta E})(1 - p) + lam p.
+def epsilon_noisy_trace(p0: float, eps: float, spectrum, k: int) -> np.ndarray:
+    """Iterate the noisy swap recursion p' = (1 - lam e^{-beta E})(1 - p) + lam p, lam = 1 - eps.
 
-    Above the optimality threshold the recursion is still well defined; a
-    warning flags that the round is no longer provably the best available.
+    `eps` must lie in [0, 1].  Above `epsilon_threshold` the recursion is
+    still well defined; a warning flags that the round is no longer provably
+    the best available.
     """
-    if isinstance(eps, NoiseSpec):
-        noise = eps
-    else:
-        noise = NoiseSpec.for_qubit(float(eps), spectrum)
-    if not noise.within_bound:
+    beta_e = spectrum.beta * spectrum.gap
+    if _deficit(eps) > epsilon_threshold(beta_e):
         warnings.warn(
             "epsilon exceeds the optimality threshold; evaluating the recursion anyway",
             stacklevel=2,
         )
-    beta_e = spectrum.beta * spectrum.gap
-    lam = 1.0 - noise.epsilon
+    lam = 1.0 - eps
     x = math.exp(-beta_e)
-    values = np.empty(k + 1)
-    values[0] = p0
-    p = p0
+    values = np.empty(_round_count(k) + 1)
+    values[0] = p = _ground_population(p0)
     for step in range(1, k + 1):
         p = (1.0 - lam * x) * (1.0 - p) + lam * p
         values[step] = p
@@ -394,14 +329,8 @@ class DeterminantScan:
     trivial_regime: bool
 
 
-def to_determinant_scan(
-    p: float,
-    spectrum,
-    lambda_max: float = 1.0,
-    grid_step: float = 1e-3,
-    refine_factor: int = 10,
-) -> DeterminantScan:
-    """Locate the determinant minimum on a coarse-to-fine (q, lam) grid.
+def to_determinant_scan(p: float, spectrum, lambda_max: float = 1.0) -> DeterminantScan:
+    """Locate the determinant minimum on a (q, lam) grid of step 1e-3, refined at step 1e-4.
 
     Each grid is evaluated in batches of rows of a fixed element budget; the
     minimizer is the grid's first minimum in C order (q-major), as an argmin
@@ -435,13 +364,13 @@ def to_determinant_scan(
                 best_q, best_l, best_f = start + iq, il, f[iq, il]
         return float(qs[best_q]), float(ls[best_l]), float(best_f)
 
-    q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, grid_step)
-    fine = grid_step / refine_factor
-    q_lo = max(1.0 - p, q0 - grid_step)
-    q_hi = min(p, q0 + grid_step)
-    l_lo = max(0.0, l0 - grid_step)
-    l_hi = min(lambda_max, l0 + grid_step)
-    q_star, l_star, f_star = scan(q_lo, q_hi, l_lo, l_hi, fine)
+    step = 1e-3
+    q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, step)
+    q_lo = max(1.0 - p, q0 - step)
+    q_hi = min(p, q0 + step)
+    l_lo = max(0.0, l0 - step)
+    l_hi = min(lambda_max, l0 + step)
+    q_star, l_star, f_star = scan(q_lo, q_hi, l_lo, l_hi, step / 10)
 
     if above and not trivial:
         corner = q_star == 1.0 - p and l_star == lambda_max
@@ -474,14 +403,14 @@ def markovian_best(p: float, spectrum) -> float:
     return max(p, 1.0 - p, thermal_ground)
 
 
-def markovian_scan(p: float, spectrum, n_grid: int = 10_000) -> float:
-    """Grid version of markovian_best: maximize over the allowed contact weights."""
+def markovian_scan(p: float, spectrum) -> float:
+    """Grid version of markovian_best: maximize over 10,000 allowed contact weights."""
     _ground_population(p)
     beta_e = spectrum.beta * spectrum.gap
     x = math.exp(-beta_e)
     lam_cap = 1.0 / (1.0 + x)
     q = max(p, 1.0 - p)
-    lams = np.linspace(0.0, lam_cap, n_grid)
+    lams = np.linspace(0.0, lam_cap, 10_000)
     s = (1.0 - lams * x) * q + lams * (1.0 - q)
     return float(s.max())
 
@@ -507,9 +436,9 @@ def ppa_trace(p0, n_ancillas: int, spectrum, rounds: int) -> ProtocolTrace:
         anc = np.kron(anc, tau)
 
     history = [p]
-    for _ in range(rounds):
+    for _ in range(_round_count(rounds)):
         joint = np.kron(p, anc)
         arranged = np.sort(joint)[::-1]
         p = arranged.reshape(2, -1).sum(axis=1)
         history.append(p)
-    return ProtocolTrace(label=f"ppa{n_ancillas}", populations=np.array(history), spec=spectrum)
+    return ProtocolTrace(np.array(history))

@@ -126,11 +126,6 @@ class EnergySpectrum(_BoltzmannCache):
         return len(self.levels)
 
     @property
-    def omega(self) -> float:
-        """Total spectral width E_{d-1} - E_0."""
-        return self.levels[-1] - self.levels[0]
-
-    @property
     def gap(self) -> float:
         """Single gap of a two-level spectrum."""
         if self.dim != 2:
@@ -161,21 +156,16 @@ class CompositeSpec(_BoltzmannCache):
                 raise ValueError("ancilla population given without an ancilla spectrum")
             pop = _population_row(self.ancilla_population, self.ancilla.dim)
             object.__setattr__(self, "ancilla_population", tuple(pop))
-        sys_levels = np.asarray(self.system.levels)
-        if self.ancilla is None:
-            joint = tuple(self.system.levels)
-        else:
-            anc_levels = np.asarray(self.ancilla.levels)
-            joint = tuple(float(x) for x in np.add.outer(sys_levels, anc_levels).ravel())
-        object.__setattr__(self, "_joint_levels", joint)
 
     @property
     def beta(self) -> float:
         return self.system.beta
 
-    @property
+    @cached_property
     def levels(self) -> tuple[float, ...]:
-        return self._joint_levels  # type: ignore[attr-defined]
+        if self.ancilla is None:
+            return self.system.levels
+        return tuple(float(x) for x in np.add.outer(self.system.levels, self.ancilla.levels).ravel())
 
     @property
     def d(self) -> int:
@@ -188,16 +178,6 @@ class CompositeSpec(_BoltzmannCache):
     @property
     def dim(self) -> int:
         return self.d * self.r
-
-    def pair_index(self, i: int, a: int) -> int:
-        if not (0 <= i < self.d and 0 <= a < self.r):
-            raise ValueError(f"pair ({i}, {a}) outside {self.d}x{self.r} space")
-        return i * self.r + a
-
-    def index_pair(self, m: int) -> tuple[int, int]:
-        if not 0 <= m < self.dim:
-            raise ValueError(f"joint index {m} outside dimension {self.dim}")
-        return divmod(m, self.r)
 
     @cached_property
     def _ancilla_start(self) -> tuple[float, ...] | None:
@@ -227,15 +207,6 @@ class CompositeSpec(_BoltzmannCache):
         return joint.reshape(self.d, self.r).sum(axis=1)
 
 
-def _level_array(spectrum) -> np.ndarray:
-    return np.asarray(spectrum.levels, dtype=float)
-
-
-def _boltzmann_weights(spectrum) -> np.ndarray:
-    """Unnormalized weights e^{-beta E_i} (read-only, cached on the spectrum)."""
-    return spectrum._boltzmann
-
-
 def _population_row(p, dim: int | None = None) -> list[float]:
     """Validate a probability vector and return it as plain floats, entries clamped at 0."""
     arr = np.asarray(p, dtype=float)
@@ -253,6 +224,20 @@ def _population_row(p, dim: int | None = None) -> list[float]:
     return row if lowest > 0.0 else [x if x > 0.0 else 0.0 for x in row]  # -0.0 becomes 0.0
 
 
+def _ground_population(p: float, lowest: float = 0.0) -> float:
+    """A qubit ground population; NaN or a value outside [lowest, 1] raises ValueError."""
+    if not lowest <= p <= 1.0:
+        raise ValueError(f"ground population must lie in [{lowest:g}, 1], got {p}")
+    return p
+
+
+def _round_count(k: int) -> int:
+    """A number of rounds (or blocks of rounds); NaN or a negative count raises ValueError."""
+    if not k >= 0:
+        raise ValueError(f"round count must be non-negative, got {k}")
+    return k
+
+
 def as_population(p, dim: int | None = None) -> np.ndarray:
     """Validate and return a probability vector as a float array."""
     return np.array(_population_row(p, dim))
@@ -260,16 +245,16 @@ def as_population(p, dim: int | None = None) -> np.ndarray:
 
 def gibbs_state(spectrum) -> np.ndarray:
     """Normalized thermal populations for the given spectrum."""
-    e = _level_array(spectrum)
+    e = np.asarray(spectrum.levels, dtype=float)
     w = np.exp(-spectrum.beta * (e - e.min()))
     return w / w.sum()
 
 
-def beta_order(p, spectrum, tie_rtol: float = 1e-12) -> np.ndarray:
+def beta_order(p, spectrum) -> np.ndarray:
     """Permutation sorting p_i * e^{beta E_i} into non-increasing order.
 
-    Returned as position -> level indices.  Keys within `tie_rtol` of each
-    other count as tied and go to the lower original index; without the
+    Returned as position -> level indices.  Keys within a relative 1e-12 of
+    each other count as tied and go to the lower original index; without the
     tolerance an exactly thermal state would pick up a noise-driven order,
     since e^{-x} e^{x} does not round-trip in floating point.  Tied keys have
     equal curve slopes, so the choice never changes the curve.
@@ -281,7 +266,7 @@ def beta_order(p, spectrum, tie_rtol: float = 1e-12) -> np.ndarray:
     out = np.empty_like(order)
     start = 0
     for i in range(1, p.size + 1):
-        if i == p.size or ranked[i] < ranked[start] * (1.0 - tie_rtol):
+        if i == p.size or ranked[i] < ranked[start] * (1.0 - 1e-12):
             out[start:i] = np.sort(order[start:i])
             start = i
     return out
@@ -363,7 +348,7 @@ def _curve_elbows(rows: np.ndarray, spectrum) -> tuple[np.ndarray, np.ndarray]:
     `_stacked_curve_heights` reads with flat-index gathers.  The rows
     accumulate with one vector add per level, in the order of a cumsum.
     """
-    w = _boltzmann_weights(spectrum)
+    w = spectrum._boltzmann
     k, d = rows.shape
     keys = (rows * spectrum._order_scale).T
     np.negative(keys, out=keys)
@@ -419,7 +404,7 @@ def beta_permutation(pi, alpha, spectrum) -> np.ndarray:
     allows, continuing from the column where the previous row stopped.  The
     result is returned in the natural level basis.
     """
-    w = _boltzmann_weights(spectrum)
+    w = spectrum._boltzmann
     d = w.size
     pi = _as_permutation(pi, d)
     alpha = _as_permutation(alpha, d)
@@ -489,10 +474,18 @@ class ExtremalPointSet:
 def _permutation_table(n: int) -> np.ndarray:
     """Every permutation of range(n) as a row, in lexicographic order (read-only).
 
+    Refuses n above 8, the enumeration guard of `extremal_points` and
+    `oracle_optimal_round`: a time and memory limit, not one of the method.
+    At n = 9 an `extremal_points` call took 1.2-1.5 s and 200-235 MB peak RSS
+    and an oracle call 0.25-0.3 s and 88 MB (2-vCPU Xeon), and each further
+    level multiplies both by about n.
+
     Built up from the table of range(m-1): the block of rows that starts with
     f goes on with a permutation of the other m-1 values, which is a row of
     the smaller table with every entry from f up raised by one.
     """
+    if n > 8:
+        raise ValueError(f"dimension {n} exceeds the factorial-enumeration guard 8")
     table = np.zeros((1, 0), dtype=np.intp)
     for m in range(1, n + 1):
         first = np.arange(m)
@@ -541,7 +534,7 @@ def _merge_images(candidates: np.ndarray, tol: float) -> np.ndarray:
     return reps[kept]
 
 
-def extremal_points(p, spectrum, max_dim: int = 8, dedup_tol: float = 1e-10) -> ExtremalPointSet:
+def extremal_points(p, spectrum, dedup_tol: float = 1e-10) -> ExtremalPointSet:
     """Apply every extremal map for the beta-order of p and deduplicate the images.
 
     The map onto order alpha sends p to the population whose cumulative sums
@@ -550,22 +543,15 @@ def extremal_points(p, spectrum, max_dim: int = 8, dedup_tol: float = 1e-10) -> 
     at once, without building a matrix.  Images that lie within `dedup_tol`
     of a kept image are merged into it (see `_merge_images`); `dedup_tol`
     below machine epsilon is refused, since a grid that fine cannot separate
-    populations.
-
-    Refuses dimensions above `max_dim` because the number of orders grows as
-    d factorial.  The default of 8 is a time and memory guard, not a limit of
-    the method: at d = 9 one call took 1.2-1.5 s and 200-235 MB peak RSS
-    (2-vCPU Xeon), and each further level multiplies both by about d.
+    populations.  Refuses d above 8, since the orders number d! (see
+    `_permutation_table`).
     """
     p = _population_row(p, len(spectrum.levels))
-    d = len(p)
-    if d > max_dim:
-        raise ValueError(f"dimension {d} exceeds the factorial-enumeration guard {max_dim}")
+    perms = _permutation_table(len(p))
     if not dedup_tol >= np.finfo(float).eps:
         raise ValueError(f"dedup_tol must be at least machine epsilon, got {dedup_tol}")
-    perms = _permutation_table(d)
     X, Y = _row_elbows(p, spectrum)
-    heights = np.interp(np.cumsum(_boltzmann_weights(spectrum)[perms], axis=1), X, Y)
+    heights = np.interp(np.cumsum(spectrum._boltzmann[perms], axis=1), X, Y)
     candidates = np.empty(perms.shape)
     np.put_along_axis(candidates, perms, np.diff(heights, axis=1, prepend=0.0), axis=1)
     points = _merge_images(candidates, dedup_tol)
@@ -584,13 +570,6 @@ class GibbsStochasticCheck:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def describe(self) -> str:
-        return (
-            f"negativity={self.negativity:.3e} "
-            f"column_sum={self.column_sum_error:.3e} "
-            f"fixed_point={self.fixed_point_error:.3e}"
-        )
 
 
 def verify_gibbs_stochastic(matrix, spectrum, tol: float | None = None) -> GibbsStochasticCheck:

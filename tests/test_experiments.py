@@ -268,6 +268,8 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
         assert main(["figure", fig_id, "--set", setting]) == 2
     assert main(["query", "jc-deexcitation", "--s", "nan"]) == 2
     assert main(["query", "curve-height", "--p", "0.7,0.3", "--x", "nan"]) == 2
+    assert main(["query", "ideal-ground", "--k", "-1", "--betaE", "1", "--p0", "0.5"]) == 2
+    assert main(["query", "noisy-asymptote", "--eps", "-0.5", "--betaE", "1"]) == 2
     for tol in ("nan", "inf"):
         assert main(["--tol", tol, "query", "thermo-majorizes", "--E", "0,1",
                      "--p", "0.7,0.3", "--q", "0.6,0.4"]) == 2

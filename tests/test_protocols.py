@@ -10,10 +10,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from xhbac import (
+    CavityParams,
     CompositeSpec,
     EnergySpectrum,
-    NoiseSpec,
-    QubitThermalOp,
+    FockTruncation,
     as_population,
     beta_opt_alpha,
     beta_order,
@@ -23,6 +23,7 @@ from xhbac import (
     epsilon_threshold,
     gibbs_state,
     ideal_ground_population,
+    jc_reuse_trace,
     maximally_active,
     ladder_ground_population,
     markovian_best,
@@ -33,6 +34,7 @@ from xhbac import (
     oracle_optimal_round,
     ppa_trace,
     qudit_ladder_round,
+    reuse_protocol_trace,
     run_ladder_protocol,
     run_optimal_protocol,
     thermal_contact_determinant,
@@ -165,7 +167,7 @@ def test_oracle_equals_optimal_round_for_a_thermal_qubit():
     oracle = oracle_optimal_round(p, spec)
     out = optimal_round(p, spec)
     assert oracle.ground == pytest.approx(out[0], abs=1e-12)
-    assert oracle.best_sorted == pytest.approx(np.sort(out)[::-1], abs=1e-12)
+    assert oracle.partial_sums == pytest.approx(np.cumsum(np.sort(out)[::-1]), abs=1e-12)
 
 
 def _matrix_round(p, spec):
@@ -401,7 +403,7 @@ def _ladder_matrix(spectrum) -> np.ndarray:
 def test_ladder_block_matrix_identity(d, rng):
     spectrum = random_spectrum(rng, d)
     C = _ladder_matrix(spectrum)
-    decay = math.exp(-spectrum.beta * spectrum.omega)
+    decay = math.exp(-spectrum.beta * (spectrum.levels[-1] - spectrum.levels[0]))
     block = np.linalg.matrix_power(C, d - 1)
     expected = decay * np.eye(d)
     expected[0] = np.full(d, 1.0 - decay)
@@ -445,13 +447,14 @@ def test_ladder_protocol_closed_form(d, rng):
 # noisy swaps
 # ---------------------------------------------------------------------------
 
-def test_noise_spec_validity_flag():
+def test_noisy_trace_warns_exactly_above_the_threshold():
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     threshold = epsilon_threshold(1.0)
-    assert NoiseSpec.for_qubit(threshold * 0.9, spectrum).within_bound
-    assert not NoiseSpec.for_qubit(threshold * 1.1, spectrum).within_bound
-    with pytest.raises(ValueError):
-        NoiseSpec(epsilon=1.5, within_bound=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        epsilon_noisy_trace(0.7, threshold, spectrum, 3)
+    with pytest.warns(UserWarning):
+        epsilon_noisy_trace(0.7, threshold * 1.1, spectrum, 3)
 
 
 def test_noiseless_trace_reduces_to_the_ideal_closed_form():
@@ -504,15 +507,6 @@ def test_degenerate_closed_form_is_constant():
         noisy_fixed_point(0.0, 0.0)
 
 
-def test_qubit_thermal_op_positivity_cap():
-    QubitThermalOp(lam=0.5, c=0.3).validate(1.0)
-    with pytest.raises(ValueError):
-        QubitThermalOp(lam=1.0, c=0.1).validate(1.0)
-    op = QubitThermalOp(lam=0.4)
-    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
-    assert verify_gibbs_stochastic(op.population_matrix(1.0), spectrum).ok
-
-
 # ---------------------------------------------------------------------------
 # determinant scan
 # ---------------------------------------------------------------------------
@@ -556,7 +550,7 @@ def test_determinant_scan_maximally_mixed_orbit_collapses():
     assert scan.lambda_star == 1.0
 
 
-def _dense_determinant_scan(p, spectrum, lambda_max=1.0, grid_step=1e-3, refine_factor=10):
+def _dense_determinant_scan(p, spectrum, lambda_max=1.0):
     """(q*, lam*, f*) from one array per grid: the coarse-to-fine scan without batches."""
     beta_e = spectrum.beta * spectrum.gap
 
@@ -568,10 +562,9 @@ def _dense_determinant_scan(p, spectrum, lambda_max=1.0, grid_step=1e-3, refine_
         iq, il = np.unravel_index(int(np.argmin(f)), f.shape)
         return float(qs[iq]), float(ls[il]), float(f[iq, il])
 
-    q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, grid_step)
-    return scan(max(1.0 - p, q0 - grid_step), min(p, q0 + grid_step),
-                max(0.0, l0 - grid_step), min(lambda_max, l0 + grid_step),
-                grid_step / refine_factor)
+    q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, 1e-3)
+    return scan(max(1.0 - p, q0 - 1e-3), min(p, q0 + 1e-3),
+                max(0.0, l0 - 1e-3), min(lambda_max, l0 + 1e-3), 1e-4)
 
 
 @pytest.mark.parametrize("budget", [None, 1000, 1 << 22])
@@ -644,14 +637,19 @@ def test_markovian_best_examples():
 
 
 _QUBIT = EnergySpectrum((0.0, 1.0), 1.0)
+_TRUNC = FockTruncation.thermal(1.0, 40)
+_CAVITY = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
 GROUND_POPULATION_CALLS = {
     "markovian_best": lambda p: markovian_best(p, _QUBIT),
-    "markovian_scan": lambda p: markovian_scan(p, _QUBIT, 100),
+    "markovian_scan": lambda p: markovian_scan(p, _QUBIT),
     "ideal_ground_population": lambda p: ideal_ground_population(3, 1.0, p),
     "ladder_ground_population": lambda p: ladder_ground_population(
         2, EnergySpectrum((0.0, 1.0, 2.0), 1.0), p),
     "noisy_ground_population": lambda p: noisy_ground_population(3, 0.1, 1.0, p),
     "to_determinant_scan": lambda p: to_determinant_scan(p, _QUBIT),
+    "epsilon_noisy_trace": lambda p: epsilon_noisy_trace(p, 0.01, _QUBIT, 2),
+    "reuse_protocol_trace": lambda p: reuse_protocol_trace(p, _TRUNC, _QUBIT, 2),
+    "jc_reuse_trace": lambda p: jc_reuse_trace(p, 1.0, math.inf, _CAVITY, _TRUNC, _QUBIT, 2),
 }
 
 
@@ -662,14 +660,49 @@ def test_ground_populations_outside_the_unit_interval_are_refused(name, p):
         GROUND_POPULATION_CALLS[name](p)
 
 
+ROUND_COUNT_CALLS = {
+    "ideal_ground_population": lambda k: ideal_ground_population(k, 1.0, 0.5),
+    "noisy_ground_population": lambda k: noisy_ground_population(k, 0.1, 1.0, 0.5),
+    "ladder_ground_population": lambda k: ladder_ground_population(
+        k, EnergySpectrum((0.0, 1.0, 2.0), 1.0), 0.5),
+    "run_optimal_protocol": lambda k: run_optimal_protocol([0.5, 0.5], _QUBIT, k),
+    "run_ladder_protocol": lambda k: run_ladder_protocol([0.5, 0.5], _QUBIT, k),
+    "ppa_trace": lambda k: ppa_trace([0.5, 0.5], 1, _QUBIT, k),
+    "epsilon_noisy_trace": lambda k: epsilon_noisy_trace(0.5, 0.01, _QUBIT, k),
+    "reuse_protocol_trace": lambda k: reuse_protocol_trace(0.5, _TRUNC, _QUBIT, k),
+    "jc_reuse_trace": lambda k: jc_reuse_trace(0.5, 1.0, math.inf, _CAVITY, _TRUNC, _QUBIT, k),
+}
+
+
+@pytest.mark.parametrize("k", [-1, -2, math.nan])
+@pytest.mark.parametrize("name", sorted(ROUND_COUNT_CALLS))
+def test_negative_or_nan_round_counts_are_refused(name, k):
+    with pytest.raises(ValueError, match="round count"):
+        ROUND_COUNT_CALLS[name](k)
+
+
+EPSILON_CALLS = {
+    "noisy_fixed_point": lambda eps: noisy_fixed_point(eps, 1.0),
+    "noisy_ground_population": lambda eps: noisy_ground_population(3, eps, 1.0, 0.5),
+    "epsilon_noisy_trace": lambda eps: epsilon_noisy_trace(0.5, eps, _QUBIT, 3),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, -0.5, 1.5, math.inf], ids=["nan", "-0.5", "1.5", "inf"])
+@pytest.mark.parametrize("name", sorted(EPSILON_CALLS))
+def test_epsilons_outside_the_unit_interval_are_refused(name, eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        EPSILON_CALLS[name](eps)
+
+
 def test_markovian_scan_never_beats_the_bath(rng):
     for _ in range(20):
         beta_e = float(rng.uniform(0.1, 3.0))
         spectrum = EnergySpectrum((0.0, 1.0), beta_e)
         thermal_ground = 1.0 / (1.0 + math.exp(-beta_e))
         p = float(rng.uniform(0.5, thermal_ground))
-        assert markovian_scan(p, spectrum, 10_000) <= thermal_ground + 1e-12
-        assert markovian_scan(p, spectrum, 10_000) == pytest.approx(
+        assert markovian_scan(p, spectrum) <= thermal_ground + 1e-12
+        assert markovian_scan(p, spectrum) == pytest.approx(
             markovian_best(p, spectrum), abs=1e-9
         )
 
