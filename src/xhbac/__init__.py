@@ -10,7 +10,6 @@ from .thermal_core import (
     beta_opt_alpha,
     beta_order,
     beta_permutation,
-    default_tolerance,
     extremal_points,
     gibbs_state,
     maximally_active,

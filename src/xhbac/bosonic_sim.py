@@ -68,15 +68,15 @@ class FockTruncation:
         return cls(n_max=n_max, tail_bound=math.exp(-beta_e * (n_max + 1)))
 
     @classmethod
-    def for_rounds(cls, beta_e: float, rounds: int, tol: float = 1e-10) -> "FockTruncation":
-        """Cutoff such that the thermal tail beyond n_max - rounds stays below tol.
+    def for_rounds(cls, beta_e: float, rounds: int) -> "FockTruncation":
+        """Cutoff such that the thermal tail beyond n_max - rounds stays below 1e-12.
 
         Each protocol round shifts the occupied ladder up by one level, so the
         cutoff has to leave that much headroom.
         """
         if beta_e <= 0:
             raise ValueError("need beta_e > 0 to bound the thermal tail")
-        headroom = int(math.ceil(-math.log(tol) / beta_e))
+        headroom = int(math.ceil(-math.log(1e-12) / beta_e))
         return cls.thermal(beta_e, max(1, rounds - 1 + headroom))
 
 
@@ -173,16 +173,15 @@ def u_beta_apply(state: JointDiagState) -> JointDiagState:
     return JointDiagState(p=out, lost=state.lost + float(p[1, -1]))
 
 
-def reuse_protocol_trace(p0: float, trunc: FockTruncation, spectrum, rounds: int,
-                         tol: float = 1e-10) -> np.ndarray:
+def reuse_protocol_trace(p0: float, trunc: FockTruncation, spectrum, rounds: int) -> np.ndarray:
     """Qubit ground population per round when the same thermal mode is reused throughout.
 
     The mode is prepared thermal once and never reset; each round applies the
     qubit flip followed by the exact swap unitary.  Raises when the requested
-    number of rounds would push more than `tol` of probability past the cutoff.
+    number of rounds would push more than 1e-10 of probability past the cutoff.
     """
     beta_e = spectrum.beta * spectrum.gap
-    if math.exp(-beta_e * (trunc.n_max - _round_count(rounds) + 1)) > tol:
+    if math.exp(-beta_e * (trunc.n_max - _round_count(rounds) + 1)) > 1e-10:
         raise ValueError(
             f"truncation n_max={trunc.n_max} too small for {rounds} rounds at beta*E={beta_e}"
         )

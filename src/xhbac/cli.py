@@ -4,16 +4,15 @@
     xhbac accept <suite>
     xhbac query <op> [--key value ...]
 
-Global flags: --nmax (Fock cutoff), --tol and --seed (seed of the randomized
-acceptance suites).  The XHBAC_TOL environment variable (or --tol) overrides
-the default comparison tolerance.  Exit codes: 0 success, 1 invariant failure,
-2 usage error.
+Global flag: --seed (seed of the randomized acceptance suites).  Each value
+has one way in: figure settings come from the config file and --set, query
+inputs (the Fock cutoff --nmax, the tolerance --atol of thermo-majorizes) from
+the op's own keys.  Exit codes: 0 success, 1 invariant failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__
@@ -38,11 +37,11 @@ from .protocols import (
 )
 from .results import ResultTable
 from .thermal_core import (
+    BASE_TOLERANCE,
     CompositeSpec,
     EnergySpectrum,
     beta_opt_alpha,
     beta_order,
-    default_tolerance,
     gibbs_state,
     thermo_curve,
     thermo_majorizes,
@@ -87,7 +86,9 @@ def _op_curve_height(args):
 
 def _op_thermo_majorizes(args):
     spectrum = _spectrum(args)
-    return ["majorizes"], [thermo_majorizes(_floats(args["p"]), _floats(args["q"]), spectrum)]
+    majorizes = thermo_majorizes(_floats(args["p"]), _floats(args["q"]), spectrum,
+                                 atol=float(args.get("atol", BASE_TOLERANCE)))
+    return ["majorizes"], [majorizes]
 
 
 def _op_beta_swap_matrix(args):
@@ -205,9 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xhbac", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"xhbac {__version__}")
-    parser.add_argument("--nmax", type=int, default=None, help="Fock cutoff override")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="default comparison tolerance (also via XHBAC_TOL)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = parser.add_subparsers(dest="command")
 
@@ -235,8 +233,6 @@ def _figure_command(ns) -> int:
             return USAGE_ERROR
         key, _, value = item.partition("=")
         overrides[key] = value
-    if ns.nmax is not None:
-        overrides["n_max"] = str(ns.nmax)
     try:
         config = ExperimentConfig() if ns.config is None else ExperimentConfig.from_json(ns.config)
         config = config.with_overrides(overrides)
@@ -248,8 +244,8 @@ def _figure_command(ns) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVARIANT_FAILURE
-    if ns.out or config.out:
-        table.write(ns.out or config.out)
+    if ns.out:
+        table.write(ns.out)
     else:
         sys.stdout.write(table.to_csv())
     return 0
@@ -271,8 +267,6 @@ def _query_command(ns) -> int:
         return USAGE_ERROR
     try:
         kv = _parse_kv(list(ns.args))
-        if ns.nmax is not None:
-            kv.setdefault("nmax", str(ns.nmax))
         columns, values = QUERY_OPS[ns.op](kv)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -287,13 +281,6 @@ def _query_command(ns) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if ns.tol is not None:
-        os.environ["XHBAC_TOL"] = repr(ns.tol)
-    try:
-        default_tolerance()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     if ns.command == "figure":
         return _figure_command(ns)
     if ns.command == "accept":

@@ -5,7 +5,8 @@ and a JSON value of the wrong type is rejected rather than passed on.  NaN
 anywhere, an infinite scalar, an angle window that no scan can cover and a
 value outside its figure's domain are rejected on construction; inf inside
 `ratios` and `t_th_grid` means full reset.  Flag overrides always win over
-the file.
+the file.  Only model settings live here: where a table goes is the
+`--out` flag of `xhbac figure`, not a config field.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ _JSON_TYPES = {
     float: ("a number", _is_number, float),
     tuple: ("a list of numbers", lambda v: type(v) is list and all(map(_is_number, v)),
             lambda v: tuple(map(float, v))),
-    str: ("a string", lambda v: type(v) is str, str),
 }
 
 
@@ -62,10 +62,9 @@ class ExperimentConfig:
     t_th_grid: tuple[float, ...] = (math.inf, 5.0, 1.0, 0.5, 0.0)
     n_atoms: int = 50
     n_max: int = 0  # 0 means: choose automatically from beta and rounds
-    # protocol length, initial ground population (None -> thermal), output
+    # protocol length, initial ground population (negative -> thermal)
     rounds: int = 30
     p0: float = -1.0  # negative means: start thermal
-    out: str = ""
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -116,10 +115,7 @@ class ExperimentConfig:
         unknown = set(overrides) - self.field_names()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        updates = {}
-        for key, raw in overrides.items():
-            template = getattr(self, key)
-            updates[key] = _parse_like(template, raw) if isinstance(raw, str) else raw
+        updates = {key: _parse_like(getattr(self, key), raw) for key, raw in overrides.items()}
         return dataclasses.replace(self, **updates)
 
     def to_dict(self) -> dict:

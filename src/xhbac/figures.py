@@ -50,7 +50,7 @@ def _qubit_spectrum(config: ExperimentConfig, beta: float | None = None) -> Ener
 def _truncation(config: ExperimentConfig, beta_e: float, rounds: int) -> FockTruncation:
     if config.n_max > 0:
         return FockTruncation.thermal(beta_e, config.n_max)
-    auto = FockTruncation.for_rounds(beta_e, max(rounds, 2), tol=1e-12)
+    auto = FockTruncation.for_rounds(beta_e, max(rounds, 2))
     return auto if auto.n_max >= 60 else FockTruncation.thermal(beta_e, 60)
 
 def _initial_ground(config: ExperimentConfig, spectrum: EnergySpectrum) -> float:

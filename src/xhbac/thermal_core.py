@@ -13,7 +13,6 @@ mutates its arguments.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -26,7 +25,6 @@ __all__ = [
     "ThermoCurve",
     "ExtremalPointSet",
     "GibbsStochasticCheck",
-    "default_tolerance",
     "as_population",
     "gibbs_state",
     "beta_order",
@@ -39,28 +37,13 @@ __all__ = [
     "verify_gibbs_stochastic",
 ]
 
-#: Fallback absolute tolerance for curve comparisons and matrix verification.
+#: Default absolute tolerance for curve comparisons and matrix verification.
 BASE_TOLERANCE = 1e-12
 #: Relative tolerance used when comparing thermo-majorization curves.
 CURVE_RTOL = 1e-9
 #: Largest temporary array, in elements, that the grid scans and the exhaustive
 #: oracle build at once (0.5 MB of float64); larger inputs stream in batches.
 _BATCH_ELEMENTS = 1 << 16
-
-
-def default_tolerance() -> float:
-    """Absolute tolerance floor, overridable through the XHBAC_TOL env var."""
-    raw = os.environ.get("XHBAC_TOL")
-    return BASE_TOLERANCE if raw is None else _parse_tolerance(raw)
-
-
-@lru_cache(maxsize=16)
-def _parse_tolerance(raw: str) -> float:
-    """XHBAC_TOL as a float, parsed once per distinct value; a refused value raises every time."""
-    value = float(raw)
-    if not 0.0 < value < math.inf:  # also rejects NaN
-        raise ValueError(f"XHBAC_TOL must be positive and finite, got {raw!r}")
-    return value
 
 
 class _BoltzmannCache:
@@ -372,7 +355,7 @@ def thermo_curve(p, spectrum) -> ThermoCurve:
     return ThermoCurve(np.array(xs), np.array(ys))
 
 
-def thermo_majorizes(p, q, spectrum, rtol: float | None = None, atol: float | None = None) -> bool:
+def thermo_majorizes(p, q, spectrum, rtol: float = CURVE_RTOL, atol: float = BASE_TOLERANCE) -> bool:
     """True when the curve of p is nowhere below the curve of q.
 
     Checking the elbow abscissae of both curves suffices because both are
@@ -380,10 +363,6 @@ def thermo_majorizes(p, q, spectrum, rtol: float | None = None, atol: float | No
     the relation is reflexive under floating point.  `rtol` and `atol` must
     be finite and non-negative.
     """
-    if rtol is None:
-        rtol = CURVE_RTOL
-    if atol is None:
-        atol = default_tolerance()
     if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):  # also rejects NaN
         raise ValueError(f"rtol and atol must be finite and non-negative, got {rtol}, {atol}")
     dim = len(spectrum.levels)
@@ -572,10 +551,8 @@ class GibbsStochasticCheck:
         return self.ok
 
 
-def verify_gibbs_stochastic(matrix, spectrum, tol: float | None = None) -> GibbsStochasticCheck:
+def verify_gibbs_stochastic(matrix, spectrum, tol: float = BASE_TOLERANCE) -> GibbsStochasticCheck:
     """Check non-negativity, column sums and Gibbs preservation of a matrix."""
-    if tol is None:
-        tol = default_tolerance()
     M = np.asarray(matrix, dtype=float)
     d = len(spectrum.levels)
     if M.shape != (d, d):

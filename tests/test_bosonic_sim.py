@@ -48,8 +48,8 @@ TRUNC = FockTruncation.thermal(1.0, 60)
 def test_truncation_tail_and_headroom():
     trunc = FockTruncation.thermal(1.0, 60)
     assert trunc.tail_bound == pytest.approx(math.exp(-61.0))
-    auto = FockTruncation.for_rounds(1.0, 20, tol=1e-10)
-    assert math.exp(-(auto.n_max - 20 + 1)) <= 1e-10
+    auto = FockTruncation.for_rounds(1.0, 20)
+    assert math.exp(-(auto.n_max - 20 + 1)) <= 1e-12
     with pytest.raises(ValueError):
         FockTruncation(n_max=0, tail_bound=0.0)
 

@@ -75,7 +75,7 @@ def test_config_rejects_bad_angle_windows(bad, tmp_path):
 
 @pytest.mark.parametrize("bad", [{"ratios": 5}, {"rounds": 2.5}, {"n_atoms": "3"},
                                  {"rounds": True}, {"beta": "1"}, {"beta": False},
-                                 {"levels": [0, "1"]}, {"t_th_grid": [True]}, {"out": 3},
+                                 {"levels": [0, "1"]}, {"t_th_grid": [True]},
                                  {"s_errors": None}])
 def test_config_rejects_wrong_json_types(bad):
     with pytest.raises(ValueError, match="must be"):
@@ -90,12 +90,11 @@ def test_config_reads_json_integers_as_numbers():
 
 def test_config_override_coercion():
     config = ExperimentConfig().with_overrides(
-        {"rounds": "12", "beta": "0.25", "t_th_grid": "inf,1,0", "out": "table.csv"}
+        {"rounds": "12", "beta": "0.25", "t_th_grid": "inf,1,0"}
     )
     assert config.rounds == 12
     assert config.beta == 0.25
     assert config.t_th_grid == (math.inf, 1.0, 0.0)
-    assert config.out == "table.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +250,7 @@ def test_cli_query_optimal_round_with_ancilla(capsys):
     assert values[0] >= 1.0 - 0.5 * math.exp(-1) - 1e-12
 
 
-def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("XHBAC_TOL", "1e-12")  # restored afterwards; main() writes --tol here
+def test_cli_usage_errors(capsys, tmp_path):
     assert main(["query", "not-an-op"]) == 2
     assert main(["accept", "not-a-suite"]) == 2
     assert main(["query", "gibbs", "--E"]) == 2  # missing value
@@ -270,9 +268,9 @@ def test_cli_usage_errors(capsys, tmp_path, monkeypatch):
     assert main(["query", "curve-height", "--p", "0.7,0.3", "--x", "nan"]) == 2
     assert main(["query", "ideal-ground", "--k", "-1", "--betaE", "1", "--p0", "0.5"]) == 2
     assert main(["query", "noisy-asymptote", "--eps", "-0.5", "--betaE", "1"]) == 2
-    for tol in ("nan", "inf"):
-        assert main(["--tol", tol, "query", "thermo-majorizes", "--E", "0,1",
-                     "--p", "0.7,0.3", "--q", "0.6,0.4"]) == 2
+    for atol in ("nan", "inf", "-1"):
+        assert main(["query", "thermo-majorizes", "--E", "0,1", "--p", "0.7,0.3",
+                     "--q", "0.6,0.4", "--atol", atol]) == 2
     assert main(["figure", "fig7", "--config", "no/such/config.json"]) == 2
     wrong_type = tmp_path / "config.json"
     wrong_type.write_text('{"ratios": 5}')
@@ -342,11 +340,10 @@ def test_polytope_suite_catches_an_injected_sign_error(monkeypatch):
     assert "violation" in result.detail
 
 
-def test_cli_global_tol_flag(capsys, monkeypatch):
-    # seed the variable so monkeypatch restores the pre-test state afterwards
-    # (main() writes XHBAC_TOL for the process)
-    monkeypatch.setenv("XHBAC_TOL", "1e-12")
-    rc = main(["--tol", "1e-6", "query", "thermo-majorizes",
-               "--p", "0.7,0.3", "--q", "0.7,0.3", "--E", "0,1", "--beta", "1"])
-    assert rc == 0
+def test_cli_thermo_majorizes_takes_its_own_atol(capsys):
+    argv = ["query", "thermo-majorizes", "--p", "0.700001,0.299999", "--q", "0.7,0.3",
+            "--E", "0,1", "--beta", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "false"
+    assert main([*argv, "--atol", "1e-3"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "true"

@@ -9,7 +9,7 @@ PUBLIC_NAMES = {
     # thermal_core
     "CompositeSpec", "EnergySpectrum", "ExtremalPointSet", "GibbsStochasticCheck",
     "ThermoCurve", "as_population", "beta_opt_alpha", "beta_order", "beta_permutation",
-    "default_tolerance", "extremal_points", "gibbs_state", "maximally_active",
+    "extremal_points", "gibbs_state", "maximally_active",
     "thermo_curve", "thermo_majorizes", "verify_gibbs_stochastic",
     # protocols
     "DeterminantScan", "OracleRound", "ProtocolTrace", "beta_swap_matrix",

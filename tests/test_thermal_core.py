@@ -14,7 +14,6 @@ from xhbac import (
     EnergySpectrum,
     beta_order,
     beta_permutation,
-    default_tolerance,
     extremal_points,
     gibbs_state,
     maximally_active,
@@ -22,8 +21,8 @@ from xhbac import (
     thermo_majorizes,
     verify_gibbs_stochastic,
 )
-from xhbac.thermal_core import (BASE_TOLERANCE, _curve_elbows, _merge_images, _parse_tolerance,
-                                _permutation_table, _row_elbows, _row_heights)
+from xhbac.thermal_core import (BASE_TOLERANCE, _curve_elbows, _merge_images, _permutation_table,
+                                _row_elbows, _row_heights)
 from conftest import random_spectrum
 
 Q = math.exp(-1.0)
@@ -354,12 +353,12 @@ def test_row_heights_equal_np_interp_exactly(rng):
     assert _row_heights(targets, xs, ys) == np.interp(targets, xs, ys).tolist()
 
 
-@pytest.mark.parametrize("rtol,atol", [(math.nan, None), (-1e-9, None), (math.inf, None),
-                                       (None, math.nan), (None, -1e-12), (None, math.inf)])
-def test_bad_explicit_tolerances_are_rejected(rtol, atol):
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+@pytest.mark.parametrize("bad", [math.nan, -1e-9, math.inf])
+def test_bad_explicit_tolerances_are_rejected(name, bad):
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     with pytest.raises(ValueError):
-        thermo_majorizes([0.7, 0.3], [0.6, 0.4], spectrum, rtol=rtol, atol=atol)
+        thermo_majorizes([0.7, 0.3], [0.6, 0.4], spectrum, **{name: bad})
 
 
 def test_infinite_temperature_reduces_to_classical_majorization(rng):
@@ -667,30 +666,11 @@ def test_verification_flags_a_corrupted_swap():
     assert check.negativity > 1.0
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.delenv("XHBAC_TOL", raising=False)
+def test_tolerances_are_plain_arguments():
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     off = np.array([[1.0 - Q, 1.0], [Q + 1e-6, 0.0]])
     assert not verify_gibbs_stochastic(off, spectrum).ok
-    monkeypatch.setenv("XHBAC_TOL", "1e-3")
-    assert verify_gibbs_stochastic(off, spectrum).ok
-    monkeypatch.setenv("XHBAC_TOL", "-1")
-    with pytest.raises(ValueError):
-        verify_gibbs_stochastic(off, spectrum)
-
-
-def test_tolerance_env_is_parsed_once_per_value(monkeypatch):
-    monkeypatch.setenv("XHBAC_TOL", "2.5e-7")
-    assert default_tolerance() == 2.5e-7
-    hits = _parse_tolerance.cache_info().hits
-    assert default_tolerance() == 2.5e-7
-    assert _parse_tolerance.cache_info().hits == hits + 1
-    monkeypatch.setenv("XHBAC_TOL", "4e-7")
-    assert default_tolerance() == 4e-7  # a changed value takes effect on the next call
-    for bad in ("nan", "inf", "0", "-1e-9", "junk"):
-        monkeypatch.setenv("XHBAC_TOL", bad)
-        for _ in range(2):  # a refused value is refused on every call
-            with pytest.raises(ValueError):
-                default_tolerance()
-    monkeypatch.delenv("XHBAC_TOL")
-    assert default_tolerance() == BASE_TOLERANCE
+    assert verify_gibbs_stochastic(off, spectrum, tol=1e-3).ok
+    p, q = [0.700001, 0.299999], [0.7, 0.3]  # p's curve sits 1e-6 below q's
+    assert not thermo_majorizes(p, q, spectrum)
+    assert thermo_majorizes(p, q, spectrum, atol=1e-3)
