@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thermal_core import _BATCH_ELEMENTS, _ground_population, _round_count
+from .thermal_core import _BATCH_ELEMENTS, _beta_e, _ground_population, _round_count
 
 __all__ = [
     "FockTruncation",
@@ -333,6 +333,8 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     if not s_lo < s_hi:
         raise ValueError("need s_lo < s_hi")
     beta_e = spectrum.beta * spectrum.gap
+    if not beta_e > 0:
+        raise ValueError(f"need beta_e > 0 to bound the scanned ladder, got {beta_e}")
     scan_cap = min(trunc.n_max, max(2, int(math.ceil(17.0 * math.log(10.0) / beta_e)) + 1))
     scan_trunc = FockTruncation.thermal(beta_e, scan_cap)
     roots, weights = _ladder(beta_e, scan_cap)
@@ -386,14 +388,12 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
 
 
 def _split_at_log4_over_3(beta_bar, low, high):
-    """low(b) for beta_bar below log(4)/3 and high(b) from there on (and for NaN).
+    """low(b) for beta_bar below log(4)/3 and high(b) from there on.
 
     Each branch is evaluated only on its own side: the low branches hold
     e^{3b}, which overflows from beta_bar of about 237 on.
     """
-    b = np.asarray(beta_bar, dtype=float)
-    if np.any(b < 0):
-        raise ValueError("beta_bar must be non-negative")
+    b = _beta_e(np.asarray(beta_bar, dtype=float))
     warm = b < math.log(4.0) / 3.0
     out = np.empty(b.shape)
     out[warm] = low(b[warm])

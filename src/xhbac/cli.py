@@ -57,12 +57,12 @@ def _floats(raw: str) -> tuple[float, ...]:
 
 def _spectrum(args: dict) -> EnergySpectrum:
     if "E" in args:
-        return EnergySpectrum(_floats(args["E"]), float(args.get("beta", 1.0)))
-    return EnergySpectrum((0.0, 1.0), float(args.get("betaE", 1.0)))
+        return EnergySpectrum(_floats(args.pop("E")), float(args.pop("beta", 1.0)))
+    return EnergySpectrum((0.0, 1.0), float(args.pop("betaE", 1.0)))
 
 
 def _trunc(args: dict, spectrum: EnergySpectrum) -> FockTruncation:
-    n_max = int(args.get("nmax", 60))
+    n_max = int(args.pop("nmax", 60))
     return FockTruncation.thermal(spectrum.beta * spectrum.gap, n_max)
 
 
@@ -74,27 +74,27 @@ def _op_gibbs(args):
 
 def _op_beta_order(args):
     spectrum = _spectrum(args)
-    order = beta_order(_floats(args["p"]), spectrum)
+    order = beta_order(_floats(args.pop("p")), spectrum)
     return [f"pos{i}" for i in range(order.size)], [int(x) for x in order]
 
 
 def _op_curve_height(args):
     spectrum = _spectrum(args)
-    curve = thermo_curve(_floats(args["p"]), spectrum)
-    return ["height"], [curve.height(float(args["x"]))]
+    curve = thermo_curve(_floats(args.pop("p")), spectrum)
+    return ["height"], [curve.height(float(args.pop("x")))]
 
 
 def _op_thermo_majorizes(args):
     spectrum = _spectrum(args)
-    majorizes = thermo_majorizes(_floats(args["p"]), _floats(args["q"]), spectrum,
-                                 atol=float(args.get("atol", BASE_TOLERANCE)))
+    majorizes = thermo_majorizes(_floats(args.pop("p")), _floats(args.pop("q")), spectrum,
+                                 atol=float(args.pop("atol", BASE_TOLERANCE)))
     return ["majorizes"], [majorizes]
 
 
 def _op_beta_swap_matrix(args):
     spectrum = _spectrum(args)
-    i = int(args.get("i", 0))
-    j = int(args.get("j", spectrum.dim - 1))
+    i = int(args.pop("i", 0))
+    j = int(args.pop("j", spectrum.dim - 1))
     matrix = beta_swap_matrix(i, j, spectrum)
     cols, vals = [], []
     for a in range(matrix.shape[0]):
@@ -105,8 +105,8 @@ def _op_beta_swap_matrix(args):
 
 
 def _op_alpha_opt(args):
-    d = int(args["d"])
-    r = int(args.get("r", 1))
+    d = int(args.pop("d"))
+    r = int(args.pop("r", 1))
     alpha = beta_opt_alpha(d, r)
     pairs = [f"({m // r},{m % r})" for m in alpha]
     return [f"pos{i}" for i in range(alpha.size)], pairs
@@ -114,58 +114,58 @@ def _op_alpha_opt(args):
 
 def _op_optimal_round(args):
     system = _spectrum(args)
-    ancilla = None
-    if "ancE" in args:
-        ancilla = EnergySpectrum(_floats(args["ancE"]), system.beta)
+    anc_levels = args.pop("ancE", None)
+    ancilla = None if anc_levels is None else EnergySpectrum(_floats(anc_levels), system.beta)
     spec = CompositeSpec(system=system, ancilla=ancilla)
-    out = optimal_round(_floats(args["p"]), spec)
+    out = optimal_round(_floats(args.pop("p")), spec)
     return [f"p{i}" for i in range(out.size)], list(map(float, out))
 
 
 def _op_markovian_best(args):
     spectrum = _spectrum(args)
-    return ["best"], [markovian_best(float(args["p0"]), spectrum)]
+    return ["best"], [markovian_best(float(args.pop("p0")), spectrum)]
 
 
 def _op_jc_deexcitation(args):
     spectrum = _spectrum(args)
-    value = jc_deexcitation(float(args["s"]), spectrum, _trunc(args, spectrum))
+    value = jc_deexcitation(float(args.pop("s")), spectrum, _trunc(args, spectrum))
     return ["probability"], [value]
 
 
 def _op_optimal_s(args):
     spectrum = _spectrum(args)
-    best = optimize_interaction_time(spectrum, float(args.get("lo", 0.0)),
-                                     float(args.get("hi", 10.0)), _trunc(args, spectrum))
+    best = optimize_interaction_time(spectrum, float(args.pop("lo", 0.0)),
+                                     float(args.pop("hi", 10.0)), _trunc(args, spectrum))
     return ["s_star", "probability", "epsilon"], [best.s_star, best.probability,
                                                   1.0 - best.probability]
 
 
 def _op_upper_bound(args):
-    return ["bound"], [upper_bound_G(float(args["betaE"]))]
+    return ["bound"], [upper_bound_G(float(args.pop("betaE")))]
 
 
 def _op_asymptotic_bound(args):
-    return ["bound"], [asymptotic_upper_bound(float(args["betaE"]))]
+    return ["bound"], [asymptotic_upper_bound(float(args.pop("betaE")))]
 
 
 def _op_ideal_ground(args):
-    return ["p0"], [ideal_ground_population(int(args["k"]), float(args["betaE"]),
-                                            float(args["p0"]))]
+    return ["p0"], [ideal_ground_population(int(args.pop("k")), float(args.pop("betaE")),
+                                            float(args.pop("p0")))]
 
 
 def _op_noisy_ground(args):
-    return ["p0"], [noisy_ground_population(int(args["k"]), float(args["eps"]),
-                                            float(args["betaE"]), float(args["p0"]))]
+    return ["p0"], [noisy_ground_population(int(args.pop("k")), float(args.pop("eps")),
+                                            float(args.pop("betaE")), float(args.pop("p0")))]
 
 
 def _op_noisy_asymptote(args):
-    return ["p0"], [noisy_fixed_point(float(args["eps"]), float(args["betaE"]))]
+    return ["p0"], [noisy_fixed_point(float(args.pop("eps")), float(args.pop("betaE")))]
 
 
 def _op_ladder_ground(args):
     spectrum = _spectrum(args)
-    return ["p0"], [ladder_ground_population(int(args["blocks"]), spectrum, float(args["p0"]))]
+    return ["p0"], [ladder_ground_population(int(args.pop("blocks")), spectrum,
+                                             float(args.pop("p0")))]
 
 
 QUERY_OPS = {
@@ -267,7 +267,10 @@ def _query_command(ns) -> int:
         return USAGE_ERROR
     try:
         kv = _parse_kv(list(ns.args))
-        columns, values = QUERY_OPS[ns.op](kv)
+        unread = dict(kv)  # each op pops the keys it reads
+        columns, values = QUERY_OPS[ns.op](unread)
+        if unread:
+            raise ValueError(f"{ns.op} does not read {', '.join('--' + k for k in unread)}")
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -24,6 +24,7 @@ from .thermal_core import (
     _BATCH_ELEMENTS,
     CompositeSpec,
     EnergySpectrum,
+    _beta_e,
     _curve_elbows,
     _ground_population,
     _permutation_table,
@@ -235,7 +236,7 @@ def _deficit(eps: float) -> float:
 
 def ideal_ground_population(k: int, beta_e: float, p0: float) -> float:
     """Ground population of the qubit full-swap protocol after k rounds."""
-    return 1.0 - math.exp(-_round_count(k) * beta_e) * (1.0 - _ground_population(p0))
+    return 1.0 - math.exp(-_round_count(k) * _beta_e(beta_e)) * (1.0 - _ground_population(p0))
 
 
 def ladder_ground_population(blocks: int, spectrum, p0: float) -> float:
@@ -247,12 +248,12 @@ def ladder_ground_population(blocks: int, spectrum, p0: float) -> float:
 
 def epsilon_threshold(beta_e: float) -> float:
     """Largest de-excitation deficit for which the noisy swap round stays provably optimal."""
-    return 1.0 / (1.0 + math.exp(beta_e) + math.exp(2.0 * beta_e))
+    return 1.0 / (1.0 + math.exp(_beta_e(beta_e)) + math.exp(2.0 * beta_e))
 
 
 def noisy_fixed_point(eps: float, beta_e: float) -> float:
     """Asymptotic ground population of the noisy swap protocol."""
-    z = 1.0 + math.exp(-beta_e)
+    z = 1.0 + math.exp(-_beta_e(beta_e))
     denom = 2.0 - (1.0 - _deficit(eps)) * z
     if denom == 0.0:
         raise ValueError("degenerate case beta_e = 0, eps = 0 has no fixed point")
@@ -263,7 +264,7 @@ def noisy_ground_population(k: int, eps: float, beta_e: float, p0: float) -> flo
     """Closed-form ground population after k noisy swap rounds."""
     _ground_population(p0)
     _round_count(k)
-    z = 1.0 + math.exp(-beta_e)
+    z = 1.0 + math.exp(-_beta_e(beta_e))
     ratio = (1.0 - _deficit(eps)) * z - 1.0
     if 2.0 - (1.0 - eps) * z == 0.0:
         return p0

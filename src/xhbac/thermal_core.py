@@ -215,10 +215,17 @@ def _ground_population(p: float, lowest: float = 0.0) -> float:
 
 
 def _round_count(k: int) -> int:
-    """A number of rounds (or blocks of rounds); NaN or a negative count raises ValueError."""
-    if not k >= 0:
-        raise ValueError(f"round count must be non-negative, got {k}")
+    """A number of rounds (or blocks of rounds); anything but an integer >= 0 raises ValueError."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"round count must be a non-negative integer, got {k!r}")
     return k
+
+
+def _beta_e(beta_e):
+    """A product beta*E, or an array of them; NaN or a negative value raises ValueError."""
+    if not np.all(np.greater_equal(beta_e, 0.0)):
+        raise ValueError(f"beta*E must be non-negative, got {beta_e}")
+    return beta_e
 
 
 def as_population(p, dim: int | None = None) -> np.ndarray:

@@ -255,6 +255,7 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert main(["accept", "not-a-suite"]) == 2
     assert main(["query", "gibbs", "--E"]) == 2  # missing value
     assert main(["query", "optimal-s", "--betaE", "1", "--hi", "inf"]) == 2
+    assert main(["query", "optimal-s", "--betaE", "0"]) == 2
     assert main(["query", "optimal-round", "--p", "nan,1"]) == 2
     assert main(["figure", "fig3", "--set", "s_grid=0"]) == 2
     assert main(["figure", "fig3", "--set", "s_hi=nan"]) == 2
@@ -290,6 +291,22 @@ def test_cli_usage_errors(capsys, tmp_path):
 def test_cli_queries_refuse_ground_populations_outside_the_unit_interval(argv, capsys):
     assert main(["query", *argv.split()]) == 2
     assert "ground population" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    ("optimal-s --betaE 1 --Hi 100", "--Hi"),
+    ("gibbs --E 0,1 --betaE 5", "--betaE"),
+    ("gibbs --E 0,1 --bogus 1", "--bogus"),
+])
+def test_cli_queries_refuse_keys_they_do_not_read(argv, unread, capsys):
+    assert main(["query", *argv.split()]) == 2
+    assert f"does not read {unread}" in capsys.readouterr().err
+
+
+def test_cli_query_header_echoes_the_arguments(capsys):
+    assert main(["query", "jc-deexcitation", "--s", "1", "--nmax", "20"]) == 0
+    meta = ResultTable.parse_metadata(capsys.readouterr().out)
+    assert meta["args"] == {"s": "1", "nmax": "20"}
 
 
 def test_cli_figure_writes_csv(tmp_path, capsys):

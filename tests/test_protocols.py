@@ -15,6 +15,7 @@ from xhbac import (
     EnergySpectrum,
     FockTruncation,
     as_population,
+    asymptotic_upper_bound,
     beta_opt_alpha,
     beta_order,
     beta_permutation,
@@ -39,6 +40,7 @@ from xhbac import (
     run_optimal_protocol,
     thermal_contact_determinant,
     to_determinant_scan,
+    upper_bound_G,
     verify_gibbs_stochastic,
 )
 from xhbac import protocols
@@ -674,11 +676,15 @@ ROUND_COUNT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("k", [-1, -2, math.nan])
+@pytest.mark.parametrize("k", [-1, -2, math.nan, 1.5, True])
 @pytest.mark.parametrize("name", sorted(ROUND_COUNT_CALLS))
 def test_negative_or_nan_round_counts_are_refused(name, k):
     with pytest.raises(ValueError, match="round count"):
         ROUND_COUNT_CALLS[name](k)
+
+
+def test_numpy_integer_round_counts_are_accepted():
+    assert ideal_ground_population(np.int64(3), 1.0, 0.5) == ideal_ground_population(3, 1.0, 0.5)
 
 
 EPSILON_CALLS = {
@@ -693,6 +699,23 @@ EPSILON_CALLS = {
 def test_epsilons_outside_the_unit_interval_are_refused(name, eps):
     with pytest.raises(ValueError, match="epsilon"):
         EPSILON_CALLS[name](eps)
+
+
+BETA_E_CALLS = {
+    "ideal_ground_population": lambda b: ideal_ground_population(2, b, 0.5),
+    "epsilon_threshold": epsilon_threshold,
+    "noisy_fixed_point": lambda b: noisy_fixed_point(0.1, b),
+    "noisy_ground_population": lambda b: noisy_ground_population(2, 0.1, b, 0.5),
+    "upper_bound_G": upper_bound_G,
+    "asymptotic_upper_bound": asymptotic_upper_bound,
+}
+
+
+@pytest.mark.parametrize("beta_e", [math.nan, -1.0, -800.0], ids=["nan", "-1", "-800"])
+@pytest.mark.parametrize("name", sorted(BETA_E_CALLS))
+def test_negative_or_nan_beta_e_is_refused(name, beta_e):
+    with pytest.raises(ValueError, match="beta"):
+        BETA_E_CALLS[name](beta_e)
 
 
 def test_markovian_scan_never_beats_the_bath(rng):

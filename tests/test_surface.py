@@ -1,6 +1,9 @@
 """The declared public surface: adding or removing a name is a deliberate edit here."""
 
 import inspect
+import os
+
+import pytest
 
 import xhbac
 from xhbac import cli
@@ -41,3 +44,30 @@ def test_public_surface_is_the_declared_one():
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported == PUBLIC_NAMES
     assert set(cli.QUERY_OPS) == QUERY_OPS
+
+
+# Each value has one way in; a new global flag or config field is a deliberate edit here.
+GLOBAL_OPTIONS = {"-h", "--version", "--seed"}
+
+CONFIG_FIELDS = {
+    "levels", "beta", "beta_grid", "n_ancillas", "g", "t_int", "s_lo", "s_hi", "s_grid",
+    "s_star", "s_errors", "loss_rate", "ratios", "t_th_grid", "n_atoms", "n_max", "rounds",
+    "p0",
+}
+
+
+def test_knobs_are_the_declared_ones():
+    parser = cli._build_parser()
+    assert {a.option_strings[0] for a in parser._actions if a.option_strings} == GLOBAL_OPTIONS
+    assert xhbac.ExperimentConfig.field_names() == CONFIG_FIELDS
+
+
+def test_main_leaves_the_environment_alone(tmp_path, capsys):
+    before = dict(os.environ)
+    assert cli.main(["figure", "fig8", "--out", str(tmp_path / "fig8.csv"),
+                     "--set", "rounds=2", "--set", "t_th_grid=inf"]) == 0
+    assert cli.main(["accept", "closed-forms"]) == 0
+    assert cli.main(["query", "gibbs", "--betaE", "1"]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["--tol", "1e-3", "query", "gibbs", "--betaE", "1"])
+    assert dict(os.environ) == before
