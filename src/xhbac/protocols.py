@@ -236,7 +236,11 @@ def _deficit(eps: float) -> float:
 
 def ideal_ground_population(k: int, beta_e: float, p0: float) -> float:
     """Ground population of the qubit full-swap protocol after k rounds."""
-    return 1.0 - math.exp(-_round_count(k) * _beta_e(beta_e)) * (1.0 - _ground_population(p0))
+    k = _round_count(k)
+    beta_e = _beta_e(beta_e)
+    # zero rounds decay by 1 at any temperature; -0 * inf would make it NaN at beta*E = inf
+    decay = math.exp(-k * beta_e) if k else 1.0
+    return 1.0 - decay * (1.0 - _ground_population(p0))
 
 
 def ladder_ground_population(blocks: int, spectrum, p0: float) -> float:
@@ -247,8 +251,13 @@ def ladder_ground_population(blocks: int, spectrum, p0: float) -> float:
 
 
 def epsilon_threshold(beta_e: float) -> float:
-    """Largest de-excitation deficit for which the noisy swap round stays provably optimal."""
-    return 1.0 / (1.0 + math.exp(_beta_e(beta_e)) + math.exp(2.0 * beta_e))
+    """Largest de-excitation deficit for which the noisy swap round stays provably optimal.
+
+    1 / (1 + e^{beta E} + e^{2 beta E}), evaluated as q^2 / (1 + q + q^2) with
+    q = e^{-beta E}, which goes to 0 instead of overflowing at low temperature.
+    """
+    q = math.exp(-_beta_e(beta_e))
+    return q * q / (1.0 + q + q * q)
 
 
 def noisy_fixed_point(eps: float, beta_e: float) -> float:

@@ -223,7 +223,11 @@ def _round_count(k: int) -> int:
 
 def _beta_e(beta_e):
     """A product beta*E, or an array of them; NaN or a negative value raises ValueError."""
-    if not np.all(np.greater_equal(beta_e, 0.0)):
+    if isinstance(beta_e, (int, float)):  # a plain comparison: numpy's costs ~100x on a scalar
+        ok = beta_e >= 0.0
+    else:
+        ok = np.all(np.greater_equal(beta_e, 0.0))
+    if not ok:
         raise ValueError(f"beta*E must be non-negative, got {beta_e}")
     return beta_e
 

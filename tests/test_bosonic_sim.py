@@ -456,24 +456,89 @@ def test_resonant_cavity_is_empty_where_the_bose_factor_overflows():
             1.0 / math.expm1(beta_e)
 
 
-def _stepped_reference(rows, loss_rate, nbar, duration):
-    """The relaxation step loop written with the matmul operator."""
+def _step_count(n_levels, loss_rate, nbar, duration):
+    return math.ceil(duration / (0.05 / (loss_rate * (nbar + 1.0) * (n_levels - 1))))
+
+
+def _reference_steps(rows, loss_rate, nbar, duration):
+    """Every iterate of the relaxation step loop, written with the matmul operator."""
     n_levels = rows.shape[-1]
-    steps = math.ceil(duration / (0.05 / (loss_rate * (nbar + 1.0) * (n_levels - 1))))
+    steps = _step_count(n_levels, loss_rate, nbar, duration)
     R = bosonic_sim._rk4_propagator(bosonic_sim._rate_generator(n_levels, loss_rate, nbar),
                                     duration / steps)
     out = rows
     for _ in range(steps):
         out = out @ R.T
+        yield out
+
+
+def _stepped_reference(rows, loss_rate, nbar, duration):
+    """The relaxation step loop written with the matmul operator."""
+    for out in _reference_steps(rows, loss_rate, nbar, duration):
+        pass
     return out
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_relaxation_of_one_or_two_rows_matches_the_matmul_loop_exactly(k):
+def _top_ground_uniform(n_levels):
+    """Criterion 9's three starts: all weight on the top level, on the ground level, spread."""
+    starts = np.zeros((3, n_levels))
+    starts[0, -1] = 1.0
+    starts[1, 0] = 1.0
+    starts[2] = 1.0 / n_levels
+    return starts
+
+
+@pytest.mark.parametrize("rows, duration", [
+    *(pytest.param(np.random.default_rng(11).dirichlet(np.ones(61), size=k), 2.0, id=str(k))
+      for k in (1, 2, 3)),
+    # on 11 levels the stack stops changing after 11,111 of the 15,820 steps
+    pytest.param(_top_ground_uniform(11), 50.0, id="past-the-fixed-point"),
+])
+def test_relaxation_of_one_or_two_rows_matches_the_matmul_loop_exactly(rows, duration):
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
-    rows = np.random.default_rng(11).dirichlet(np.ones(61), size=k)
-    out = bosonic_sim._rethermalize_array(rows, params.loss_rate, params.nbar, 2.0)
-    assert np.array_equal(out, _stepped_reference(rows, params.loss_rate, params.nbar, 2.0))
+    out = bosonic_sim._rethermalize_array(rows, params.loss_rate, params.nbar, duration)
+    assert np.array_equal(out, _stepped_reference(rows, params.loss_rate, params.nbar, duration))
+
+
+class _CountingNumpy:
+    """numpy, counting the calls of `dot`."""
+
+    def __init__(self):
+        self.dots = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def dot(self, *args, **kwargs):
+        self.dots += 1
+        return np.dot(*args, **kwargs)
+
+
+def test_relaxation_stops_within_one_block_of_a_fixed_point_and_never_before(monkeypatch):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    steps = _step_count(61, params.loss_rate, params.nbar, 10.0)
+    thermal = ModePopulations.thermal(1.0, 60).t[None, :]
+    previous = thermal
+    for fixed, out in enumerate(_reference_steps(thermal, params.loss_rate, params.nbar, 10.0)):
+        if out.tobytes() == previous.tobytes():  # step fixed + 1 returned its input
+            break
+        previous = out
+    # the figures' waits: a thermal mode that has just taken an excitation, t = 10
+    excited = JointDiagState.product(np.array([0.0, 1.0]), ModePopulations.thermal(1.0, 60))
+    perturbed = jc_round(excited, 1.0, 1.0).mode_marginal[None, :]
+    thermal_full = _stepped_reference(thermal, params.loss_rate, params.nbar, 10.0)
+    perturbed_full = _stepped_reference(perturbed, params.loss_rate, params.nbar, 10.0)
+    counting = _CountingNumpy()
+    monkeypatch.setattr(bosonic_sim, "np", counting)
+
+    out = bosonic_sim._rethermalize_array(thermal, params.loss_rate, params.nbar, 10.0)
+    assert fixed + 1 <= counting.dots <= fixed + 1 + bosonic_sim._BLOCK_STEPS < steps
+    assert np.array_equal(out, previous) and np.array_equal(out, thermal_full)
+
+    counting.dots = 0
+    out = bosonic_sim._rethermalize_array(perturbed, params.loss_rate, params.nbar, 10.0)
+    assert counting.dots == steps
+    assert np.array_equal(out, perturbed_full)
 
 
 def test_stacked_relaxation_matches_row_by_row():

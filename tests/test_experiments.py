@@ -226,6 +226,11 @@ def test_cli_query_gibbs(capsys):
     assert out.splitlines()[-1] == "0.5,0.5"
 
 
+def test_cli_query_ideal_ground_after_zero_rounds_at_zero_temperature(capsys):
+    assert main(["query", "ideal-ground", "--k", "0", "--betaE", "inf", "--p0", "0.5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0.5"
+
+
 def test_cli_query_alpha_opt(capsys):
     assert main(["query", "alpha-opt", "--d", "2", "--r", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "(0,1),(0,0),(1,1),(1,0)"

@@ -433,6 +433,12 @@ def test_ladder_qubit_round_is_flip_then_swap():
     assert qudit_ladder_round(p, spectrum) == pytest.approx(expected)
 
 
+def test_zero_rounds_keep_the_ground_population_at_any_temperature():
+    for beta_e in (0.0, 1.0, 800.0, math.inf):
+        assert ideal_ground_population(0, beta_e, 0.5) == 0.5
+    assert ideal_ground_population(3, math.inf, 0.5) == 1.0
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_ladder_protocol_closed_form(d, rng):
     spectrum = random_spectrum(rng, d, 0.3, 2.0)
@@ -457,6 +463,20 @@ def test_noisy_trace_warns_exactly_above_the_threshold():
         epsilon_noisy_trace(0.7, threshold, spectrum, 3)
     with pytest.warns(UserWarning):
         epsilon_noisy_trace(0.7, threshold * 1.1, spectrum, 3)
+
+
+def test_threshold_is_the_plain_formula_and_vanishes_instead_of_overflowing():
+    for beta_e in (0.0, 0.5, 1.0, 10.0, 300.0, 354.0):
+        plain = 1.0 / (1.0 + math.exp(beta_e) + math.exp(2.0 * beta_e))
+        assert epsilon_threshold(beta_e) == pytest.approx(plain, rel=1e-15, abs=0.0)
+    for beta_e in (354.9, 400.0, 1e6):
+        assert 0.0 <= epsilon_threshold(beta_e) < 1e-308
+        spectrum = EnergySpectrum((0.0, 1.0), beta_e)
+        with pytest.warns(UserWarning, match="optimality threshold"):
+            trace = epsilon_noisy_trace(0.5, 0.1, spectrum, 2)
+        assert trace == pytest.approx([0.5, 0.95, 0.905], abs=1e-15)
+        scan = to_determinant_scan(0.6, spectrum)
+        assert scan.lambda_max == 1.0 and not scan.above_threshold
 
 
 def test_noiseless_trace_reduces_to_the_ideal_closed_form():
