@@ -1,10 +1,12 @@
-"""Acceptance criteria: one callable per criterion, each with pinned tolerances.
+"""Acceptance criteria: one check per criterion, each with pinned tolerances.
 
-Every criterion returns a CriterionResult carrying the pass/fail verdict, a
-measurement summary, and the elapsed time checked against the criterion's
-runtime budget.  `run_acceptance` groups them into named suites and prints one
-line per criterion; it is what the `xhbac accept` subcommand executes, and the
-pytest acceptance module drives the same functions.
+A check is declared once, with `@_criterion(ident, key, limit)`: it returns
+(ok, detail), and the decorator times it and turns it into a CriterionResult
+carrying the verdict (ok and within `limit` seconds), the measurement summary
+and the elapsed time.  `run_acceptance` runs every criterion (`all`) or the one
+with a given key and prints one line per criterion; it is what the
+`xhbac accept` subcommand executes, and the pytest acceptance module drives the
+same functions through CRITERIA.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -75,16 +77,25 @@ class CriterionResult:
         )
 
 
-def _result(ident, key, start, limit, ok, detail) -> CriterionResult:
-    elapsed = time.perf_counter() - start
-    return CriterionResult(
-        ident=ident,
-        key=key,
-        passed=bool(ok) and elapsed <= limit,
-        elapsed=elapsed,
-        limit=limit,
-        detail=detail,
-    )
+# ident -> criterion, in declaration order, and key -> ident; both filled by @_criterion.
+CRITERIA: dict = {}
+_IDENTS: dict[str, int] = {}
+
+
+def _criterion(ident: int, key: str, limit: float):
+    """Register a check returning (ok, detail) as criterion `ident`, timed against `limit` s."""
+    def register(check):
+        @wraps(check)
+        def criterion(seed: int = 0) -> CriterionResult:
+            start = time.perf_counter()
+            ok, detail = check(seed)
+            elapsed = time.perf_counter() - start
+            return CriterionResult(ident, key, bool(ok) and elapsed <= limit, elapsed, limit,
+                                   detail)
+        CRITERIA[ident] = criterion
+        _IDENTS[key] = ident
+        return criterion
+    return register
 
 
 def _random_spectrum(rng, d: int, beta_lo=0.2, beta_hi=2.0) -> EnergySpectrum:
@@ -93,9 +104,9 @@ def _random_spectrum(rng, d: int, beta_lo=0.2, beta_hi=2.0) -> EnergySpectrum:
     return EnergySpectrum(tuple(levels), float(rng.uniform(beta_lo, beta_hi)))
 
 
-def criterion_qubit_closed_form(seed: int = 0) -> CriterionResult:
+@_criterion(1, "qubit-closed-form", 1.0)
+def criterion_qubit_closed_form(seed: int = 0):
     """Simulated optimal qubit protocol equals 1 - e^{-k bE}(1-p0) to 1e-12."""
-    start = time.perf_counter()
     worst = 0.0
     for beta_e in (0.1, 1.0, 10.0):
         spec = CompositeSpec(system=EnergySpectrum((0.0, 1.0), beta_e))
@@ -103,13 +114,12 @@ def criterion_qubit_closed_form(seed: int = 0) -> CriterionResult:
             trace = run_optimal_protocol([p0, 1.0 - p0], spec, 50)
             closed = np.array([ideal_ground_population(k, beta_e, p0) for k in range(51)])
             worst = max(worst, float(np.max(np.abs(trace.ground - closed))))
-    return _result(1, "qubit-closed-form", start, 1.0, worst <= 1e-12,
-                   f"max deviation {worst:.2e} (tol 1e-12)")
+    return worst <= 1e-12, f"max deviation {worst:.2e} (tol 1e-12)"
 
 
-def criterion_ladder_closed_form(seed: int = 0) -> CriterionResult:
+@_criterion(2, "ladder-closed-form", 1.0)
+def criterion_ladder_closed_form(seed: int = 0):
     """Ladder protocol sampled every d-1 rounds matches the full-width decay law."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed + 2)
     worst = 0.0
     for d in (3, 4, 5):
@@ -122,13 +132,12 @@ def criterion_ladder_closed_form(seed: int = 0) -> CriterionResult:
                 got = trace.ground[k * (d - 1)]
                 want = ladder_ground_population(k, spectrum, float(p0[0]))
                 worst = max(worst, abs(got - want))
-    return _result(2, "ladder-closed-form", start, 1.0, worst <= 1e-12,
-                   f"max deviation {worst:.2e} (tol 1e-12)")
+    return worst <= 1e-12, f"max deviation {worst:.2e} (tol 1e-12)"
 
 
-def criterion_beta_permutation_validity(seed: int = 0) -> CriterionResult:
+@_criterion(3, "beta-permutation", 10.0)
+def criterion_beta_permutation_validity(seed: int = 0):
     """500 random extremal maps: Gibbs-stochastic to 1e-12, curve touching to 1e-10."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
     worst_check = 0.0
     worst_touch = 0.0
@@ -154,14 +163,13 @@ def criterion_beta_permutation_validity(seed: int = 0) -> CriterionResult:
         touch = np.max(np.abs(np.cumsum(image[alpha]) - curve.heights(xs)))
         worst_touch = max(worst_touch, float(touch))
     ok = worst_check <= 1e-12 and worst_touch <= 1e-10
-    return _result(3, "beta-permutation", start, 10.0, ok,
-                   f"worst violation {worst_check:.2e} (tol 1e-12), "
-                   f"worst touching gap {worst_touch:.2e} (tol 1e-10)")
+    return ok, (f"worst violation {worst_check:.2e} (tol 1e-12), "
+                f"worst touching gap {worst_touch:.2e} (tol 1e-10)")
 
 
-def criterion_oracle_equivalence(seed: int = 0) -> CriterionResult:
+@_criterion(4, "oracle-equivalence", 60.0)
+def criterion_oracle_equivalence(seed: int = 0):
     """Optimal round equals the exhaustive oracle and dominates its partial sums."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed + 4)
     shapes = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1), (2, 4), (4, 2),
               (5, 1), (6, 1), (7, 1), (8, 1)]
@@ -181,14 +189,13 @@ def criterion_oracle_equivalence(seed: int = 0) -> CriterionResult:
         partial = np.cumsum(np.sort(out)[::-1])
         worst_part = max(worst_part, float(np.max(oracle.partial_sums - partial)))
     ok = worst_ground <= 1e-10 and worst_part <= 1e-10
-    return _result(4, "oracle-equivalence", start, 60.0, ok,
-                   f"worst ground gap {worst_ground:.2e}, "
-                   f"worst partial-sum deficit {worst_part:.2e} (tol 1e-10)")
+    return ok, (f"worst ground gap {worst_ground:.2e}, "
+                f"worst partial-sum deficit {worst_part:.2e} (tol 1e-10)")
 
 
-def criterion_mode_reuse(seed: int = 0) -> CriterionResult:
+@_criterion(5, "mode-reuse", 5.0)
+def criterion_mode_reuse(seed: int = 0):
     """Reused-mode simulation tracks the closed form; populations circulate exactly."""
-    start = time.perf_counter()
     beta_e = 1.0
     trunc = FockTruncation.thermal(beta_e, 60)
     spectrum = EnergySpectrum((0.0, 1.0), beta_e)
@@ -210,9 +217,8 @@ def criterion_mode_reuse(seed: int = 0) -> CriterionResult:
         and np.array_equal(after[1, :-1], before[1, 1:])
     )
     ok = worst <= 1e-10 and declared < 1e-10 and circ_ok
-    return _result(5, "mode-reuse", start, 5.0, ok,
-                   f"max deviation {worst:.2e} (tol 1e-10), declared tail {declared:.2e}, "
-                   f"circulation exact: {circ_ok}")
+    return ok, (f"max deviation {worst:.2e} (tol 1e-10), declared tail {declared:.2e}, "
+                f"circulation exact: {circ_ok}")
 
 
 @lru_cache(maxsize=4)
@@ -223,9 +229,9 @@ def _wide_window_optimum(beta_e: float, n_max: int):
     return optimize_interaction_time(spectrum, 0.0, 5000.0, trunc)
 
 
-def criterion_jc_window(seed: int = 0) -> CriterionResult:
+@_criterion(6, "jc-window", 30.0)
+def criterion_jc_window(seed: int = 0):
     """Optimized interaction angle lands in the published window."""
-    start = time.perf_counter()
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     trunc = FockTruncation.thermal(1.0, 60)
     wide = _wide_window_optimum(1.0, 60)
@@ -233,14 +239,13 @@ def criterion_jc_window(seed: int = 0) -> CriterionResult:
     asym = noisy_fixed_point(eps, 1.0)
     narrow = optimize_interaction_time(spectrum, 0.0, 10.0, trunc)
     ok = 0.9401 <= asym <= 0.9534 and abs(narrow.s_star - 7.87) <= 0.05
-    return _result(6, "jc-window", start, 30.0, ok,
-                   f"asymptote {asym:.6f} in [0.9401, 0.9534]; "
-                   f"s*={narrow.s_star:.4f} (7.87 +/- 0.05), eps={eps:.6f}")
+    return ok, (f"asymptote {asym:.6f} in [0.9401, 0.9534]; "
+                f"s*={narrow.s_star:.4f} (7.87 +/- 0.05), eps={eps:.6f}")
 
 
-def criterion_bound_consistency(seed: int = 0) -> CriterionResult:
+@_criterion(7, "bound-consistency", 10.0)
+def criterion_bound_consistency(seed: int = 0):
     """De-excitation probability never exceeds its ceiling; ceiling branches meet."""
-    start = time.perf_counter()
     beta_grid = np.linspace(0.05, 3.0, 100)
     s_grid = np.linspace(0.0, 50.0, 100)
     worst = -np.inf
@@ -255,27 +260,25 @@ def criterion_bound_consistency(seed: int = 0) -> CriterionResult:
     high = math.exp(-4.0 * split) - math.exp(-3.0 * split) + 1.0
     branch_gap = abs(low - high)
     ok = worst <= 0.0 + 1e-12 and branch_gap <= 1e-12
-    return _result(7, "bound-consistency", start, 10.0, ok,
-                   f"max excess over ceiling {worst:.2e} on 10^4 grid, "
-                   f"branch gap {branch_gap:.2e} (tol 1e-12)")
+    return ok, (f"max excess over ceiling {worst:.2e} on 10^4 grid, "
+                f"branch gap {branch_gap:.2e} (tol 1e-12)")
 
 
-def criterion_anharmonic(seed: int = 0) -> CriterionResult:
+@_criterion(8, "anharmonic", 1.0)
+def criterion_anharmonic(seed: int = 0):
     """Peak relative deviation of the anharmonic cooling sum at tau=0.05, beta E=1."""
-    start = time.perf_counter()
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     trunc = FockTruncation.thermal(1.0, 60)
     peak = 0.0
     for k in range(1, trunc.n_max + 2):
         an_sum, h_sum = anharmonic_cooling_sums(0.05, trunc, spectrum, k)
         peak = max(peak, abs(an_sum - h_sum) / h_sum)
-    return _result(8, "anharmonic", start, 1.0, peak < 5e-5,
-                   f"peak relative deviation {peak:.3e} (tol 5e-5)")
+    return peak < 5e-5, f"peak relative deviation {peak:.3e} (tol 5e-5)"
 
 
-def criterion_master_equation(seed: int = 0) -> CriterionResult:
+@_criterion(9, "master-equation", 10.0)
+def criterion_master_equation(seed: int = 0):
     """Thermal fixed point preserved; arbitrary starts converge in total variation."""
-    start = time.perf_counter()
     worst_drift = 0.0
     worst_tv = 0.0
     for beta_e in (0.5, 1.0, 2.0):
@@ -291,14 +294,13 @@ def criterion_master_equation(seed: int = 0) -> CriterionResult:
         out = _rethermalize_array(starts, params.loss_rate, params.nbar, 50.0)
         worst_tv = max(worst_tv, 0.5 * float(np.max(np.abs(out - target).sum(axis=1))))
     ok = worst_drift <= 1e-10 and worst_tv < 1e-8
-    return _result(9, "master-equation", start, 10.0, ok,
-                   f"fixed-point drift {worst_drift:.2e} (tol 1e-10), "
-                   f"worst TV {worst_tv:.2e} (tol 1e-8)")
+    return ok, (f"fixed-point drift {worst_drift:.2e} (tol 1e-10), "
+                f"worst TV {worst_tv:.2e} (tol 1e-8)")
 
 
-def criterion_markovian_ceiling(seed: int = 0) -> CriterionResult:
+@_criterion(10, "markovian-ceiling", 1.0)
+def criterion_markovian_ceiling(seed: int = 0):
     """Markovian contacts cannot beat the bath ground population."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed + 10)
     worst = -np.inf
     for _ in range(50):
@@ -308,13 +310,12 @@ def criterion_markovian_ceiling(seed: int = 0) -> CriterionResult:
         p = float(rng.uniform(0.5, thermal_ground))
         best = markovian_scan(p, spectrum)
         worst = max(worst, best - thermal_ground)
-    return _result(10, "markovian-ceiling", start, 1.0, worst <= 1e-12,
-                   f"max excess over thermal ground {worst:.2e} (tol 1e-12)")
+    return worst <= 1e-12, f"max excess over thermal ground {worst:.2e} (tol 1e-12)"
 
 
-def criterion_noise_robustness(seed: int = 0) -> CriterionResult:
+@_criterion(11, "noise-robustness", 30.0)
+def criterion_noise_robustness(seed: int = 0):
     """Noisy-swap recursion equals the closed form; determinant minimizer on the corner."""
-    start = time.perf_counter()
     rng = np.random.default_rng(seed + 11)
     worst = 0.0
     corner_ok = True
@@ -333,14 +334,13 @@ def criterion_noise_robustness(seed: int = 0) -> CriterionResult:
         scan = to_determinant_scan(p, spectrum, lambda_max=lam_max)
         corner_ok &= scan.q_star == 1.0 - p and scan.lambda_star == lam_max
     ok = worst <= 1e-12 and corner_ok
-    return _result(11, "noise-robustness", start, 30.0, ok,
-                   f"max closed-form deviation {worst:.2e} (tol 1e-12), "
-                   f"corner minimizer confirmed: {corner_ok}")
+    return ok, (f"max closed-form deviation {worst:.2e} (tol 1e-12), "
+                f"corner minimizer confirmed: {corner_ok}")
 
 
-def criterion_baseline_separation(seed: int = 0) -> CriterionResult:
+@_criterion(12, "baseline-separation", 10.0)
+def criterion_baseline_separation(seed: int = 0):
     """Full-swap protocol and its exchange realization beat the sorting baseline."""
-    start = time.perf_counter()
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     thermal_ground = float(gibbs_state(spectrum)[0])
     baseline = ppa_trace([thermal_ground, 1.0 - thermal_ground], 2, spectrum, 400)
@@ -350,14 +350,13 @@ def criterion_baseline_separation(seed: int = 0) -> CriterionResult:
     jc_k10 = noisy_ground_population(10, 1.0 - best.probability, 1.0, thermal_ground)
     ppa_k10 = float(baseline.ground[10])
     ok = swap_asymptote > fixed_point and jc_k10 > ppa_k10
-    return _result(12, "baseline-separation", start, 10.0, ok,
-                   f"baseline fixed point {fixed_point:.6f} < 1; "
-                   f"jc k=10 {jc_k10:.6f} > baseline k=10 {ppa_k10:.6f}")
+    return ok, (f"baseline fixed point {fixed_point:.6f} < 1; "
+                f"jc k=10 {jc_k10:.6f} > baseline k=10 {ppa_k10:.6f}")
 
 
-def criterion_atom_stream(seed: int = 0) -> CriterionResult:
+@_criterion(13, "atom-stream", 120.0)
+def criterion_atom_stream(seed: int = 0):
     """Stream with full reset hits the two-round closed form; finite reset settles."""
-    start = time.perf_counter()
     beta_e = 1.0
     spectrum = EnergySpectrum((0.0, 1.0), beta_e)
     trunc = FockTruncation.thermal(beta_e, 60)
@@ -374,51 +373,16 @@ def criterion_atom_stream(seed: int = 0) -> CriterionResult:
     finals_finite = atom_stream_sim(finite, 70, t_int, trunc, spectrum)
     settle = float(np.max(np.abs(finals_finite[50:] - finals_finite[-1])))
     ok = reset_dev <= 1e-8 and settle <= 1e-6
-    return _result(13, "atom-stream", start, 120.0, ok,
-                   f"full-reset deviation {reset_dev:.2e} (tol 1e-8), "
-                   f"post-atom-50 spread {settle:.2e} (tol 1e-6)")
+    return ok, (f"full-reset deviation {reset_dev:.2e} (tol 1e-8), "
+                f"post-atom-50 spread {settle:.2e} (tol 1e-6)")
 
 
-CRITERIA = {
-    1: criterion_qubit_closed_form,
-    2: criterion_ladder_closed_form,
-    3: criterion_beta_permutation_validity,
-    4: criterion_oracle_equivalence,
-    5: criterion_mode_reuse,
-    6: criterion_jc_window,
-    7: criterion_bound_consistency,
-    8: criterion_anharmonic,
-    9: criterion_master_equation,
-    10: criterion_markovian_ceiling,
-    11: criterion_noise_robustness,
-    12: criterion_baseline_separation,
-    13: criterion_atom_stream,
-}
-
-SUITES = {
-    "closed-forms": (1, 2),
-    "polytope": (3,),
-    "oracle": (4,),
-    "mode-reuse": (5,),
-    "jc": (6,),
-    "bounds": (7,),
-    "anharmonic": (8,),
-    "master-equation": (9,),
-    "markovian": (10,),
-    "noise": (11,),
-    "baselines": (12,),
-    "stream": (13,),
-    "all": tuple(range(1, 14)),
-}
-
-
-def run_acceptance(suite: str, seed: int = 0, echo=print) -> list[CriterionResult]:
-    """Run one registered suite, printing a verdict line per criterion."""
-    if suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; registered: {sorted(SUITES)}")
+def run_acceptance(name: str, seed: int = 0) -> list[CriterionResult]:
+    """Run every criterion (`all`) or the one with key `name`, printing a verdict line each."""
+    idents = list(CRITERIA) if name == "all" else [_IDENTS[name]]
     results = []
-    for ident in SUITES[suite]:
+    for ident in idents:
         result = CRITERIA[ident](seed=seed)
         results.append(result)
-        echo(result.line())
+        print(result.line())
     return results

@@ -59,6 +59,11 @@ def _initial_ground(config: ExperimentConfig, spectrum: EnergySpectrum) -> float
     return float(gibbs_state(spectrum)[0])
 
 
+def _noisy_trace(eps: float, beta_e: float, p0: float, rounds: int) -> list[float]:
+    """Closed-form ground population of the eps-noisy swap protocol for rounds 0..rounds."""
+    return [noisy_ground_population(k, eps, beta_e, p0) for k in range(rounds + 1)]
+
+
 def _fig3(config: ExperimentConfig) -> ResultTable:
     betas = config.beta_grid or (config.beta,)
     rounds = config.rounds
@@ -70,15 +75,12 @@ def _fig3(config: ExperimentConfig) -> ResultTable:
         trunc = _truncation(config, beta_e, rounds)
         diagnostics[f"{beta_e:g}"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
         p0 = _initial_ground(config, spectrum)
-
-        def noisy(eps: float):
-            return [noisy_ground_population(k, eps, beta_e, p0) for k in range(rounds + 1)]
-
         best = optimize_interaction_time(spectrum, config.s_lo, config.s_hi, trunc,
                                          grid_step=config.s_grid)
         baseline = ppa_trace([p0, 1.0 - p0], config.n_ancillas, spectrum, rounds)
-        series = [("ideal", noisy(0.0)), ("jc_upper", noisy(1.0 - upper_bound_G(beta_e))),
-                  ("jc_lower", noisy(1.0 - best.probability)),
+        series = [("ideal", _noisy_trace(0.0, beta_e, p0, rounds)),
+                  ("jc_upper", _noisy_trace(1.0 - upper_bound_G(beta_e), beta_e, p0, rounds)),
+                  ("jc_lower", _noisy_trace(1.0 - best.probability, beta_e, p0, rounds)),
                   (f"ppa{config.n_ancillas}", baseline.ground)]
         for name, values in series:
             for k, value in enumerate(values):
@@ -113,10 +115,6 @@ def _fig7(config: ExperimentConfig) -> ResultTable:
     trunc = _truncation(config, beta_e, config.rounds)
     p0 = _initial_ground(config, spectrum)
     table = ResultTable(columns=["series", "k", "p0"])
-
-    def trace_for(eps: float):
-        return [noisy_ground_population(k, eps, beta_e, p0) for k in range(config.rounds + 1)]
-
     series = [("exact", 1.0 - jc_deexcitation(config.s_star, spectrum, trunc))]
     for delta in config.s_errors:
         grid_n = max(2, int(math.ceil(2.0 * delta / config.s_grid)) + 1)
@@ -124,7 +122,7 @@ def _fig7(config: ExperimentConfig) -> ResultTable:
         worst = float(np.min(jc_deexcitation(window, spectrum, trunc)))
         series.append((f"err{delta:g}", 1.0 - worst))
     for name, eps in series:
-        for k, value in enumerate(trace_for(eps)):
+        for k, value in enumerate(_noisy_trace(eps, beta_e, p0, config.rounds)):
             table.append(name, k, float(value))
     table.metadata["truncation"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
     table.metadata["epsilons"] = {name: eps for name, eps in series}

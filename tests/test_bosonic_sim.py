@@ -272,6 +272,12 @@ def test_grid_step_that_underflows_is_refused():
         bosonic_sim._linspace_at(0.0, 5e-324, 3)
 
 
+def test_grid_with_more_points_than_int64_holds_is_refused():
+    # 5e23 points: numpy would fall back to object arrays and np.sin would fail
+    with pytest.raises(ValueError, match="int64"):
+        optimize_interaction_time(QUBIT, 0.0, 5000.0, TRUNC, grid_step=1e-20)
+
+
 @pytest.mark.parametrize("budget", [7, 1000, 1 << 20])
 def test_scan_does_not_depend_on_the_batch_budget(budget, monkeypatch):
     want = optimize_interaction_time(QUBIT, -3.0, 300.0, TRUNC)

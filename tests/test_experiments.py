@@ -258,16 +258,22 @@ def test_cli_query_optimal_round_with_ancilla(capsys):
 def test_cli_usage_errors(capsys, tmp_path):
     assert main(["query", "not-an-op"]) == 2
     assert main(["accept", "not-a-suite"]) == 2
+    assert main(["accept", "noise"]) == 2
+    assert main(["accept", "closed-forms"]) == 2
     assert main(["query", "gibbs", "--E"]) == 2  # missing value
     assert main(["query", "optimal-s", "--betaE", "1", "--hi", "inf"]) == 2
     assert main(["query", "optimal-s", "--betaE", "0"]) == 2
     assert main(["query", "optimal-round", "--p", "nan,1"]) == 2
     assert main(["figure", "fig3", "--set", "s_grid=0"]) == 2
     assert main(["figure", "fig3", "--set", "s_hi=nan"]) == 2
+    assert main(["figure", "fig3", "--set", "s_grid=1e-20"]) == 2  # more points than int64
     for bad in ("fig8 t_int=nan", "fig5 g=nan", "fig7 s_star=nan", "fig5 beta=nan",
                 "fig8 loss_rate=nan", "fig5 ratios=inf,nan", "fig5 ratios=0",
                 "fig8 rounds=-1", "fig3 rounds=-1", "fig7 p0=1.5", "fig8 t_th_grid=-1",
-                "fig7 n_max=-1", "fig5 n_atoms=0", "fig5 loss_rate=-1"):
+                "fig7 n_max=-1", "fig5 n_atoms=0", "fig5 loss_rate=-1",
+                "fig3 n_ancillas=4", "fig3 levels=0,1,2", "fig3 levels=1,0",
+                "fig3 levels=0,0", "fig3 beta=-1", "fig3 beta=0", "fig3 beta_grid=-1",
+                "fig5 g=-1"):
         fig_id, setting = bad.split()
         assert main(["figure", fig_id, "--set", setting]) == 2
     assert main(["query", "jc-deexcitation", "--s", "nan"]) == 2
@@ -281,6 +287,7 @@ def test_cli_usage_errors(capsys, tmp_path):
     wrong_type = tmp_path / "config.json"
     wrong_type.write_text('{"ratios": 5}')
     assert main(["figure", "fig5", "--config", str(wrong_type)]) == 2
+    assert main(["figure", "fig7", "--out", str(tmp_path / "no" / "such" / "x.csv")]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["figure", "fig1"])
     assert exc.value.code == 2
@@ -326,9 +333,9 @@ def test_cli_figure_writes_csv(tmp_path, capsys):
     assert text.splitlines()[1] == "t_th,k,p0"
 
 
-def test_cli_figure_invariant_failure(capsys):
+def test_cli_figure_refused_input_is_a_usage_error(capsys):
     rc = main(["figure", "fig3", "--set", "levels=0,0.5,1"])
-    assert rc == 1
+    assert rc == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -338,9 +345,9 @@ def test_cli_figure_bad_override(capsys):
 
 
 def test_cli_accept_suite_passes(capsys):
-    assert main(["accept", "closed-forms"]) == 0
+    assert main(["accept", "qubit-closed-form"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 2
+    assert out.count("PASS") == 1
 
 
 def test_polytope_suite_catches_an_injected_sign_error(monkeypatch):
