@@ -20,6 +20,7 @@ tracked here (a dense-matrix reference in the test suite confirms this).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -327,8 +328,8 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     grows with the window: they fit the 2^16-element budget only on windows
     below about 8,389 angle units at the default step 1e-3.  Traced peaks:
     3.6 MB on [0, 5000], 10.7 MB on [0, 20000], 26.8 MB on [0, 50000].  A
-    window whose grid step underflows to 0, or whose grid has more points
-    than int64 holds, raises ValueError.
+    window whose grid step underflows to 0, or whose grid or block indices
+    overflow int64, raises ValueError.
 
     During the scan, ladder terms whose thermal weight sits below float64
     resolution are dropped (they cannot change a double); the refinement stage
@@ -350,6 +351,9 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     grid = _linspace_at(s_lo, s_hi, count)
 
     block = max(1, int(_SCAN_WIDTH / grid_step))
+    if count + block > np.iinfo(np.int64).max:
+        raise ValueError(f"scan blocks of {block} points at grid_step={grid_step} "
+                         f"overflow the int64 indices of a {count}-point grid")
     starts = np.arange(0, count, block)
     firsts = grid(starts)
     lasts = grid(np.minimum(starts + block, count) - 1)
@@ -498,40 +502,58 @@ def _rk4_propagator(generator: np.ndarray, h: float) -> np.ndarray:
 _BLOCK_STEPS = 256
 
 
+@functools.lru_cache(maxsize=16)
+def _relaxation_step(n_levels: int, loss_rate: float, nbar: float,
+                     duration: float) -> tuple[int, np.ndarray]:
+    """Step count and read-only transposed RK4 step matrix of one wait.
+
+    Fixed fourth-order steps of at most 0.05 / (A (nbar+1) n_max), half the
+    scheme's stability limit on the fastest decay rate of the truncated ladder.
+    The transposed matrix stays a view: a contiguous copy selects another BLAS
+    kernel, whose rounding differs in the last bits.
+    """
+    max_step = 0.05 / (loss_rate * (nbar + 1.0) * (n_levels - 1))
+    steps = max(1, int(math.ceil(duration / max_step)))
+    R = _rk4_propagator(_rate_generator(n_levels, loss_rate, nbar), duration / steps)
+    R.flags.writeable = False
+    return steps, R.T
+
+
 def _rethermalize_array(arr: np.ndarray, loss_rate: float, nbar: float,
                         duration: float) -> np.ndarray:
     """Integrate the rate equation on each row of a (k, n_levels) stack for a finite `duration`.
 
-    Fixed fourth-order steps of at most 0.05 / (A (nbar+1) n_max), half the
-    scheme's stability limit on the fastest decay rate of the truncated ladder.
-    Each step is one BLAS product over the whole stack, so callers relax every
-    row that waits under the same parameters in one call.  The transposed step
-    matrix stays a view: a contiguous copy selects another BLAS kernel, whose
-    rounding differs in the last bits.
+    One step matrix is built per (n_levels, A, nbar, duration) and cached
+    (`_relaxation_step`).  Each step is one BLAS product over the whole stack,
+    so callers relax every row that waits under the same parameters in one
+    call.  The steps alternate between two reused buffers through their bound
+    `ndarray.dot` methods: the same C routine and BLAS call as `np.dot`, so the
+    same bits, without its dispatch layer.
 
-    Steps run in blocks of `_BLOCK_STEPS` between two reused buffers.  After a
-    block whose last step returned its input bit for bit (bytes compared, so
-    -0.0 and 0.0 differ), the loop stops: the step map is deterministic, so
-    every remaining step would return that same array.
+    Steps run in blocks of `_BLOCK_STEPS`.  After a block whose last step
+    returned its input bit for bit (bytes compared, so -0.0 and 0.0 differ),
+    the loop stops: the step map is deterministic, so every remaining step
+    would return that same array.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
     if duration == 0.0 or loss_rate == 0.0:
         return arr.copy()
-    n_levels = arr.shape[-1]
-    max_step = 0.05 / (loss_rate * (nbar + 1.0) * (n_levels - 1))
-    steps = max(1, int(math.ceil(duration / max_step)))
-    h = duration / steps
-    RT = _rk4_propagator(_rate_generator(n_levels, loss_rate, nbar), h).T
-    out = np.dot(arr, RT)
-    spare = np.empty_like(out)
+    steps, RT = _relaxation_step(arr.shape[-1], loss_rate, nbar, duration)
+    a = arr.dot(RT)
+    b = np.empty_like(a)
+    a_dot, b_dot = a.dot, b.dot
     for done in range(1, steps, _BLOCK_STEPS):
-        for _ in range(min(_BLOCK_STEPS, steps - done)):
-            np.dot(out, RT, out=spare)
-            out, spare = spare, out
-        if out.tobytes() == spare.tobytes():
+        pairs, odd = divmod(min(_BLOCK_STEPS, steps - done), 2)
+        for _ in range(pairs):
+            a_dot(RT, b)
+            b_dot(RT, a)
+        if odd:
+            a_dot(RT, b)
+            a, b, a_dot, b_dot = b, a, b_dot, a_dot
+        if a.tobytes() == b.tobytes():
             break
-    return out
+    return a
 
 
 def rethermalize_mode(mode: ModePopulations, params: CavityParams,

@@ -278,6 +278,12 @@ def test_grid_with_more_points_than_int64_holds_is_refused():
         optimize_interaction_time(QUBIT, 0.0, 5000.0, TRUNC, grid_step=1e-20)
 
 
+def test_scan_blocks_that_overflow_int64_indices_are_refused():
+    # the 1e18 + 1 grid points fit int64, one 0.128-wide block of 1.28e21 points does not
+    with pytest.raises(ValueError, match="int64"):
+        optimize_interaction_time(QUBIT, 0.0, 1e-4, TRUNC, grid_step=1e-22)
+
+
 @pytest.mark.parametrize("budget", [7, 1000, 1 << 20])
 def test_scan_does_not_depend_on_the_batch_budget(budget, monkeypatch):
     want = optimize_interaction_time(QUBIT, -3.0, 300.0, TRUNC)
@@ -494,11 +500,24 @@ def _top_ground_uniform(n_levels):
     return starts
 
 
+def _duration_of(steps, n_levels):
+    """A wait that the relaxation splits into exactly `steps` steps (A = 1, beta*E = 1)."""
+    nbar = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0).nbar
+    duration = (steps - 0.5) * 0.05 / ((nbar + 1.0) * (n_levels - 1))
+    assert _step_count(n_levels, 1.0, nbar, duration) == steps
+    return duration
+
+
 @pytest.mark.parametrize("rows, duration", [
     *(pytest.param(np.random.default_rng(11).dirichlet(np.ones(61), size=k), 2.0, id=str(k))
       for k in (1, 2, 3)),
     # on 11 levels the stack stops changing after 11,111 of the 15,820 steps
     pytest.param(_top_ground_uniform(11), 50.0, id="past-the-fixed-point"),
+    # the edges of the loop's step pairs and blocks
+    *(pytest.param(np.random.default_rng(13).dirichlet(np.ones(11), size=k),
+                   _duration_of(steps, 11), id=f"{k}-rows-{steps}-steps")
+      for k, steps in ((2, 1), (2, 7), (2, 8), (2, bosonic_sim._BLOCK_STEPS + 1),
+                       (2, bosonic_sim._BLOCK_STEPS + 2), (3, 2 * bosonic_sim._BLOCK_STEPS + 3))),
 ])
 def test_relaxation_of_one_or_two_rows_matches_the_matmul_loop_exactly(rows, duration):
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
@@ -506,18 +525,36 @@ def test_relaxation_of_one_or_two_rows_matches_the_matmul_loop_exactly(rows, dur
     assert np.array_equal(out, _stepped_reference(rows, params.loss_rate, params.nbar, duration))
 
 
-class _CountingNumpy:
-    """numpy, counting the calls of `dot`."""
+def test_one_read_only_step_matrix_is_built_per_wait():
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    steps, RT = bosonic_sim._relaxation_step(61, params.loss_rate, params.nbar, 10.0)
+    again = bosonic_sim._relaxation_step(61, params.loss_rate, params.nbar, 10.0)
+    assert again[0] == steps and again[1] is RT
+    with pytest.raises(ValueError, match="read-only"):
+        RT[0, 0] = 1.0
 
-    def __init__(self):
-        self.dots = 0
+    bosonic_sim._relaxation_step.cache_clear()
+    waits, n_atoms = (0.5, 1.0, 2.5), 4
+    for wait in waits:
+        atom_stream_sim(CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0,
+                                              firing_rate=1.0 / wait),
+                        n_atoms, 1.0, FockTruncation.thermal(1.0, 20), QUBIT)
+    info = bosonic_sim._relaxation_step.cache_info()
+    assert (info.misses, info.hits) == (len(waits), len(waits) * (n_atoms - 1))
 
-    def __getattr__(self, name):
-        return getattr(np, name)
+
+class _CountingArray(np.ndarray):
+    """An ndarray whose `dot` counts its calls, in the class attribute `dots`.
+
+    A relaxation of such a stack makes every step product through `dot`: the
+    first step on the stack itself, the rest on buffers of the same class.
+    """
+
+    dots = 0
 
     def dot(self, *args, **kwargs):
-        self.dots += 1
-        return np.dot(*args, **kwargs)
+        _CountingArray.dots += 1
+        return super().dot(*args, **kwargs)
 
 
 def test_relaxation_stops_within_one_block_of_a_fixed_point_and_never_before(monkeypatch):
@@ -534,16 +571,17 @@ def test_relaxation_stops_within_one_block_of_a_fixed_point_and_never_before(mon
     perturbed = jc_round(excited, 1.0, 1.0).mode_marginal[None, :]
     thermal_full = _stepped_reference(thermal, params.loss_rate, params.nbar, 10.0)
     perturbed_full = _stepped_reference(perturbed, params.loss_rate, params.nbar, 10.0)
-    counting = _CountingNumpy()
-    monkeypatch.setattr(bosonic_sim, "np", counting)
+    monkeypatch.setattr(_CountingArray, "dots", 0)
 
-    out = bosonic_sim._rethermalize_array(thermal, params.loss_rate, params.nbar, 10.0)
-    assert fixed + 1 <= counting.dots <= fixed + 1 + bosonic_sim._BLOCK_STEPS < steps
+    out = bosonic_sim._rethermalize_array(thermal.view(_CountingArray), params.loss_rate,
+                                          params.nbar, 10.0)
+    assert fixed + 1 <= _CountingArray.dots <= fixed + 1 + bosonic_sim._BLOCK_STEPS < steps
     assert np.array_equal(out, previous) and np.array_equal(out, thermal_full)
 
-    counting.dots = 0
-    out = bosonic_sim._rethermalize_array(perturbed, params.loss_rate, params.nbar, 10.0)
-    assert counting.dots == steps
+    _CountingArray.dots = 0
+    out = bosonic_sim._rethermalize_array(perturbed.view(_CountingArray), params.loss_rate,
+                                          params.nbar, 10.0)
+    assert _CountingArray.dots == steps
     assert np.array_equal(out, perturbed_full)
 
 

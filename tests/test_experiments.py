@@ -267,6 +267,8 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert main(["figure", "fig3", "--set", "s_grid=0"]) == 2
     assert main(["figure", "fig3", "--set", "s_hi=nan"]) == 2
     assert main(["figure", "fig3", "--set", "s_grid=1e-20"]) == 2  # more points than int64
+    # a grid that int64 indexes, with scan blocks that it cannot
+    assert main(["figure", "fig3", "--set", "s_hi=0.0001", "--set", "s_grid=1e-22"]) == 2
     for bad in ("fig8 t_int=nan", "fig5 g=nan", "fig7 s_star=nan", "fig5 beta=nan",
                 "fig8 loss_rate=nan", "fig5 ratios=inf,nan", "fig5 ratios=0",
                 "fig8 rounds=-1", "fig3 rounds=-1", "fig7 p0=1.5", "fig8 t_th_grid=-1",
