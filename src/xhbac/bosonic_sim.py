@@ -241,13 +241,13 @@ class InteractionTime:
     probability: float
 
 
-def _golden_max(f, lo: float, hi: float, iterations: int = 80) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(80):  # shrinks the bracket by 0.618**80, about 2e-17
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)

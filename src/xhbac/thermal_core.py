@@ -366,22 +366,22 @@ def thermo_curve(p, spectrum) -> ThermoCurve:
     return ThermoCurve(np.array(xs), np.array(ys))
 
 
-def thermo_majorizes(p, q, spectrum, rtol: float = CURVE_RTOL, atol: float = BASE_TOLERANCE) -> bool:
+def thermo_majorizes(p, q, spectrum, atol: float = BASE_TOLERANCE) -> bool:
     """True when the curve of p is nowhere below the curve of q.
 
     Checking the elbow abscissae of both curves suffices because both are
-    piecewise linear.  Equality within tolerance counts as majorization, so
-    the relation is reflexive under floating point.  `rtol` and `atol` must
-    be finite and non-negative.
+    piecewise linear.  Equality within tolerance (the larger of `atol` and
+    CURVE_RTOL times the height) counts as majorization, so the relation is
+    reflexive under floating point.  `atol` must be finite and non-negative.
     """
-    if not (0.0 <= rtol < math.inf and 0.0 <= atol < math.inf):  # also rejects NaN
-        raise ValueError(f"rtol and atol must be finite and non-negative, got {rtol}, {atol}")
+    if not 0.0 <= atol < math.inf:  # also rejects NaN
+        raise ValueError(f"atol must be finite and non-negative, got {atol}")
     dim = len(spectrum.levels)
     xp, yp = _row_elbows(_population_row(p, dim), spectrum)
     xq, yq = _row_elbows(_population_row(q, dim), spectrum)
     xs = sorted(xp + xq)  # the union of both elbow sets
     for a, b in zip(_row_heights(xs, xp, yp), _row_heights(xs, xq, yq)):
-        if not b <= a + max(atol, rtol * abs(a)):
+        if not b <= a + max(atol, CURVE_RTOL * abs(a)):
             return False
     return True
 
@@ -389,39 +389,28 @@ def thermo_majorizes(p, q, spectrum, rtol: float = CURVE_RTOL, atol: float = BAS
 def beta_permutation(pi, alpha, spectrum) -> np.ndarray:
     """Extremal Gibbs-stochastic matrix mapping beta-order pi states onto order alpha.
 
-    Rows are filled in alpha-order against columns in pi-order: row m grabs as
-    much population for its target level as the thermo-majorization constraint
-    allows, continuing from the column where the previous row stopped.  The
-    result is returned in the natural level basis.
+    The Boltzmann weights are laid end to end on one line, once in pi-order
+    (the columns) and once in alpha-order (the rows), both ending at one
+    shared partition sum; entry (m, k) is the overlap of row m's interval
+    with column k's, divided by column k's length.  A weight below the
+    float64 resolution of the running sum leaves its column without length;
+    such a spectrum, like one whose sum overflows, is refused with
+    ValueError.  The result is returned in the natural level basis.
     """
     w = spectrum._boltzmann
     d = w.size
     pi = _as_permutation(pi, d)
     alpha = _as_permutation(alpha, d)
-    wp = w[pi]
-    wa = w[alpha]
-    cum_p = np.cumsum(wp)
-    cum_a = np.cumsum(wa)
-
-    G = np.zeros((d, d))
-    col_used = np.zeros(d)
-    k_prev = 0
-    for m in range(d):
-        if cum_a[m] < cum_p[k_prev]:
-            # Only a fraction of the current column fits under the curve.
-            G[m, k_prev] = wa[m] / wp[k_prev]
-            k_m = k_prev
-        else:
-            k_m = min(int(np.searchsorted(cum_p, cum_a[m], side="left")), d - 1)
-            G[m, k_prev] = 1.0 - col_used[k_prev]
-            if k_m > k_prev:
-                G[m, k_prev + 1 : k_m] = 1.0
-                G[m, k_m] = (cum_a[m] - cum_p[k_m - 1]) / wp[k_m]
-        col_used += G[m]
-        k_prev = k_m
-
-    P = np.zeros((d, d))
-    P[np.ix_(alpha, pi)] = G
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below
+        cols = np.concatenate(([0.0], np.cumsum(w[pi])))
+        rows = np.concatenate(([0.0], np.cumsum(w[alpha])))
+        length = np.diff(cols)
+    rows[-1] = cols[-1]
+    if not np.all((0.0 < length) & (length < math.inf)):
+        raise ValueError("Boltzmann weights do not fit one float64 partition sum; beta*E spread too large")
+    overlap = np.minimum.outer(rows[1:], cols[1:]) - np.maximum.outer(rows[:-1], cols[:-1])
+    P = np.empty((d, d))
+    P[np.ix_(alpha, pi)] = np.maximum(overlap, 0.0) / length
     return P
 
 
@@ -563,16 +552,19 @@ class GibbsStochasticCheck:
 
 
 def verify_gibbs_stochastic(matrix, spectrum, tol: float = BASE_TOLERANCE) -> GibbsStochasticCheck:
-    """Check non-negativity, column sums and Gibbs preservation of a matrix."""
+    """Check non-negativity, column sums and Gibbs preservation of a matrix.
+
+    The violations propagate NaN, so a matrix with a non-finite entry fails.
+    """
     M = np.asarray(matrix, dtype=float)
     d = len(spectrum.levels)
     if M.shape != (d, d):
         raise ValueError(f"expected a {d}x{d} matrix, got shape {M.shape}")
-    negativity = float(max(0.0, -M.min()))
+    negativity = float(np.maximum(0.0, -M.min()))
     column_sum_error = float(np.max(np.abs(M.sum(axis=0) - 1.0)))
     g = gibbs_state(spectrum)
     fixed_point_error = float(np.max(np.abs(M @ g - g)))
-    worst = max(negativity, column_sum_error, fixed_point_error)
+    worst = float(np.max([negativity, column_sum_error, fixed_point_error]))
     return GibbsStochasticCheck(
         ok=worst <= tol,
         worst_violation=worst,

@@ -353,12 +353,11 @@ def test_row_heights_equal_np_interp_exactly(rng):
     assert _row_heights(targets, xs, ys) == np.interp(targets, xs, ys).tolist()
 
 
-@pytest.mark.parametrize("name", ["rtol", "atol"])
 @pytest.mark.parametrize("bad", [math.nan, -1e-9, math.inf])
-def test_bad_explicit_tolerances_are_rejected(name, bad):
+def test_bad_explicit_tolerances_are_rejected(bad):
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     with pytest.raises(ValueError):
-        thermo_majorizes([0.7, 0.3], [0.6, 0.4], spectrum, **{name: bad})
+        thermo_majorizes([0.7, 0.3], [0.6, 0.4], spectrum, atol=bad)
 
 
 def test_infinite_temperature_reduces_to_classical_majorization(rng):
@@ -469,7 +468,7 @@ def test_beta_permutation_properties(ps, seed):
 
 def test_beta_permutation_on_degenerate_spectra_with_exact_ties():
     # e^{-ln 2} is exactly 0.5 in doubles, so cumulative weights here tie
-    # exactly and exercise the stalled-column branch of the construction
+    # exactly and rows meet columns in zero-length overlaps at shared endpoints
     ln2 = math.log(2.0)
     spectrum = EnergySpectrum((0.0, ln2, ln2), 1.0)
     assert math.exp(-spectrum.beta * ln2) == 0.5
@@ -478,6 +477,47 @@ def test_beta_permutation_on_degenerate_spectra_with_exact_ties():
             P = beta_permutation(np.array(pi), np.array(alpha), spectrum)
             check = verify_gibbs_stochastic(P, spectrum, tol=1e-12)
             assert check.ok, (pi, alpha, check)
+
+
+def test_beta_permutation_identity_pair_is_exactly_the_identity_on_a_cold_bath():
+    spectrum = EnergySpectrum((0.0, 1.0, 2.0), 15.0)
+    assert np.array_equal(beta_permutation([0, 1, 2], [0, 1, 2], spectrum), np.eye(3))
+
+
+def test_beta_permutation_is_gibbs_stochastic_for_random_order_pairs(rng):
+    spectrum = EnergySpectrum((0.0, 2.0, 4.0, 6.0, 8.0), 2.5)
+    for _ in range(2000):
+        pi, alpha = rng.permutation(5), rng.permutation(5)
+        check = verify_gibbs_stochastic(beta_permutation(pi, alpha, spectrum), spectrum)
+        assert check.ok, (pi, alpha, check)
+
+
+def test_beta_permutation_refuses_a_weight_below_the_partition_sum_resolution():
+    # e^{-40} is below half an ulp of 1, so level 1's column has no length
+    spectrum = EnergySpectrum((0.0, 1.0), 40.0)
+    with pytest.raises(ValueError):
+        beta_permutation([0, 1], [1, 0], spectrum)
+    # each weight e^{709} is finite, their sum is not
+    with pytest.raises(ValueError):
+        beta_permutation([0, 1, 2, 3], [0, 1, 2, 3], EnergySpectrum((-709.0,) * 4, 1.0))
+
+
+@st.composite
+def cold_order_pairs(draw):
+    d = draw(st.integers(2, 6))
+    levels = sorted(draw(st.lists(st.floats(0.0, 2.5), min_size=d, max_size=d)))
+    spectrum = EnergySpectrum(tuple(levels), draw(st.floats(0.0, 14.0)))
+    return draw(st.permutations(range(d))), draw(st.permutations(range(d))), spectrum
+
+
+@given(cold_order_pairs())
+@settings(max_examples=200, deadline=None)
+def test_beta_permutation_on_cold_baths_is_gibbs_stochastic_with_entries_in_the_unit_interval(case):
+    pi, alpha, spectrum = case
+    P = beta_permutation(pi, alpha, spectrum)
+    check = verify_gibbs_stochastic(P, spectrum, tol=1e-12)
+    assert check.ok, check
+    assert np.all((P >= 0.0) & (P <= 1.0))
 
 
 def test_degenerate_spectrum_majorization_agrees_with_linear_feasibility(rng):
@@ -664,6 +704,14 @@ def test_verification_flags_a_corrupted_swap():
     check = verify_gibbs_stochastic(bad, spectrum)
     assert not check.ok
     assert check.negativity > 1.0
+
+
+def test_verification_fails_a_non_finite_entry():
+    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        check = verify_gibbs_stochastic(np.array([[1.0, bad], [0.0, 1.0]]), spectrum)
+        assert not check.ok, bad
+        assert not check.worst_violation <= 1.0, bad
 
 
 def test_tolerances_are_plain_arguments():
