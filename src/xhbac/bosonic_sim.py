@@ -556,6 +556,23 @@ def _rethermalize_array(arr: np.ndarray, loss_rate: float, nbar: float,
     return a
 
 
+@functools.lru_cache(maxsize=16)
+def _relaxation_propagator(n_levels: int, loss_rate: float, nbar: float,
+                           duration: float) -> np.ndarray:
+    """Read-only matrix P such that stack.dot(P) relaxes each row of a stack for `duration`.
+
+    P is the identity stepped through `_rethermalize_array`: the same step
+    matrix, step count and fixed-point exit, so it carries the step loop's
+    per-step rounding.  It is not built by squaring: a squared or blocked
+    product rounds differently and moves the atom-stream tables by more than
+    their 1e-10 body tolerance.  The repeated waits of `atom_stream_sim` and
+    `jc_reuse_trace` use it; one-off relaxations step their rows.
+    """
+    P = _rethermalize_array(np.eye(n_levels), loss_rate, nbar, duration)
+    P.flags.writeable = False
+    return P
+
+
 def rethermalize_mode(mode: ModePopulations, params: CavityParams,
                       duration: float) -> ModePopulations:
     """Let the mode relax toward thermal occupation nbar for the given duration."""
@@ -605,10 +622,10 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
     Atoms and cavities start thermal at the qubit spectrum's beta * E.  Per
     atom: qubit flip, exchange interaction with cavity one, qubit flip,
     exchange interaction with cavity two, then both cavities dissipate for the
-    inter-atom interval 1/firing_rate as one (2, n_max+1) stack (a firing rate
-    of None or 0 means the cavities fully re-thermalize between atoms).  The
-    mode marginals stay Fock-diagonal throughout, so tracing out each atom is
-    exact.
+    inter-atom interval 1/firing_rate: one product of the (2, n_max+1) stack
+    with that wait's `_relaxation_propagator` (a firing rate of None or 0 means
+    the cavities fully re-thermalize between atoms).  The mode marginals stay
+    Fock-diagonal throughout, so tracing out each atom is exact.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
@@ -617,6 +634,9 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
     thermal_qubit = np.array([1.0, x]) / (1.0 + x)
     fresh = np.tile(ModePopulations.thermal(beta_e, trunc.n_max).t, (2, 1))
     cavities = fresh.copy()
+    if params.firing_rate:
+        P = _relaxation_propagator(trunc.n_max + 1, params.loss_rate, params.nbar,
+                                   1.0 / params.firing_rate)
     finals = np.empty(n_atoms)
     for atom in range(n_atoms):
         qubit = thermal_qubit
@@ -629,8 +649,7 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
         if not params.firing_rate:
             cavities = fresh.copy()
         else:
-            cavities = _rethermalize_array(cavities, params.loss_rate, params.nbar,
-                                           1.0 / params.firing_rate)
+            cavities = cavities.dot(P)
     return finals
 
 
@@ -640,21 +659,22 @@ def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
 
     The mode starts thermal at the qubit spectrum's beta * E.  Each round:
     qubit flip, exchange interaction at angle s, then the mode dissipates for
-    t_wait while keeping its classical correlations with the qubit (the rate
-    equation acts on each qubit sector separately).  An infinite t_wait resets
-    the mode to thermal and discards correlations; any other t_wait must be
-    finite and non-negative.
+    t_wait while keeping its classical correlations with the qubit (one
+    product of both qubit sectors with that wait's `_relaxation_propagator`).
+    An infinite t_wait resets the mode to thermal and discards correlations;
+    any other t_wait must be finite and non-negative.
     """
     mode = ModePopulations.thermal(spectrum.beta * spectrum.gap, trunc.n_max)
     state = JointDiagState.product([_ground_population(p0), 1.0 - p0], mode)
     ground = np.empty(_round_count(rounds) + 1)
+    if t_wait != math.inf:
+        P = _relaxation_propagator(trunc.n_max + 1, params.loss_rate, params.nbar, t_wait)
     ground[0] = state.qubit_marginal[0]
     for k in range(1, rounds + 1):
         state = jc_round(pauli_x(state), 1.0, s)
         if t_wait == math.inf:
             state = JointDiagState.product(state.qubit_marginal, mode)
         else:
-            p = _rethermalize_array(state.p, params.loss_rate, params.nbar, t_wait)
-            state = JointDiagState(p=p, lost=state.lost)
+            state = JointDiagState(p=state.p.dot(P), lost=state.lost)
         ground[k] = state.qubit_marginal[0]
     return ground

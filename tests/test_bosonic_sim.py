@@ -525,22 +525,68 @@ def test_relaxation_of_one_or_two_rows_matches_the_matmul_loop_exactly(rows, dur
     assert np.array_equal(out, _stepped_reference(rows, params.loss_rate, params.nbar, duration))
 
 
-def test_one_read_only_step_matrix_is_built_per_wait():
+def _stream(wait, n_atoms, n_max=20):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=1.0 / wait)
+    return atom_stream_sim(params, n_atoms, 1.0, FockTruncation.thermal(1.0, n_max), QUBIT)
+
+
+def _reuse(wait, rounds, n_max=20):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    return jc_reuse_trace(0.5, 1.0, wait, params, FockTruncation.thermal(1.0, n_max), QUBIT,
+                          rounds)
+
+
+def test_one_read_only_propagator_is_built_per_wait():
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     steps, RT = bosonic_sim._relaxation_step(61, params.loss_rate, params.nbar, 10.0)
     again = bosonic_sim._relaxation_step(61, params.loss_rate, params.nbar, 10.0)
     assert again[0] == steps and again[1] is RT
-    with pytest.raises(ValueError, match="read-only"):
-        RT[0, 0] = 1.0
+    P = bosonic_sim._relaxation_propagator(61, params.loss_rate, params.nbar, 10.0)
+    assert bosonic_sim._relaxation_propagator(61, params.loss_rate, params.nbar, 10.0) is P
+    for matrix in (RT, P):
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1.0
 
+    bosonic_sim._relaxation_propagator.cache_clear()
     bosonic_sim._relaxation_step.cache_clear()
-    waits, n_atoms = (0.5, 1.0, 2.5), 4
+    waits = (0.5, 1.0, 2.5)
     for wait in waits:
-        atom_stream_sim(CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0,
-                                              firing_rate=1.0 / wait),
-                        n_atoms, 1.0, FockTruncation.thermal(1.0, 20), QUBIT)
+        _stream(wait, 4)
+        _stream(wait, 5)
+        _reuse(wait, 4)
+    info = bosonic_sim._relaxation_propagator.cache_info()
+    assert (info.misses, info.hits) == (len(waits), 2 * len(waits))
+    # each build steps the identity once; a stepped mode reuses that step matrix
+    for wait in waits:
+        for _ in range(2):
+            rethermalize_mode(ModePopulations.thermal(1.0, 20), params, wait)
     info = bosonic_sim._relaxation_step.cache_info()
-    assert (info.misses, info.hits) == (len(waits), len(waits) * (n_atoms - 1))
+    assert (info.misses, info.hits) == (len(waits), 2 * len(waits))
+
+
+@pytest.mark.parametrize("run", [_stream, _reuse], ids=["atom-stream", "reuse-trace"])
+def test_relaxed_series_do_not_depend_on_the_propagator_cache(run):
+    bosonic_sim._relaxation_propagator.cache_clear()
+    cold = run(1.0, 4).tobytes()
+    assert run(1.0, 4).tobytes() == cold
+    assert bosonic_sim._relaxation_propagator.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("beta_e", [0.3, 1.0, 3.0])
+@pytest.mark.parametrize("duration", [0.1, 1.0, 10.0])
+def test_propagator_product_matches_the_stepped_rows(beta_e, duration):
+    # Both forms carry the step loop's truncation and rounding, accumulated in
+    # a different order; at t = 10 each lies within 2e-13 of scipy's expm. The
+    # perturbed rows agree within 7e-14; the thermal row, which stepping holds
+    # near its fixed point, differs by up to 2.5e-13 (beta*E = 3, t = 10).
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+    thermal = ModePopulations.thermal(beta_e, 40)
+    excited = jc_round(JointDiagState.product(np.array([0.0, 1.0]), thermal), 1.0, 1.0).p
+    rows = np.vstack([np.random.default_rng(3).dirichlet(np.ones(41), size=2), excited,
+                      _top_ground_uniform(41), thermal.t])
+    P = bosonic_sim._relaxation_propagator(41, params.loss_rate, params.nbar, duration)
+    stepped = bosonic_sim._rethermalize_array(rows, params.loss_rate, params.nbar, duration)
+    assert np.max(np.abs(rows.dot(P) - stepped)) <= 1e-12
 
 
 class _CountingArray(np.ndarray):
@@ -759,6 +805,14 @@ def test_reused_cavity_with_full_reset_matches_the_noisy_law():
     eps = 1.0 - jc_deexcitation(98.92, QUBIT, TRUNC)
     closed = [noisy_ground_population(k, eps, 1.0, thermal_ground) for k in range(9)]
     assert trace == pytest.approx(closed, abs=1e-12)
+
+
+@pytest.mark.parametrize("t_wait", [-1.0, math.nan, -math.inf])
+@pytest.mark.parametrize("rounds", [0, 1])
+def test_reused_cavity_refuses_a_bad_wait_before_the_first_round(t_wait, rounds):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    with pytest.raises(ValueError, match="duration"):
+        jc_reuse_trace(0.5, 1.0, t_wait, params, TRUNC, QUBIT, rounds)
 
 
 def test_reused_cavity_without_relaxation_oscillates():
