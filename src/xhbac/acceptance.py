@@ -137,13 +137,13 @@ def criterion_ladder_closed_form(seed: int = 0):
 
 @_criterion(3, "beta-permutation", 10.0)
 def criterion_beta_permutation_validity(seed: int = 0):
-    """500 random extremal maps: Gibbs-stochastic to 1e-12, curve touching to 1e-10."""
+    """500 random extremal maps, beta in [0.2, 8]: Gibbs-stochastic to 1e-12, touching to 1e-10."""
     rng = np.random.default_rng(seed + 3)
     worst_check = 0.0
     worst_touch = 0.0
     for _ in range(500):
         d = int(rng.integers(2, 7))
-        spectrum = _random_spectrum(rng, d)
+        spectrum = _random_spectrum(rng, d, beta_hi=8.0)
         alpha = rng.permutation(d)
         # Gibbs-stochasticity must hold for arbitrary order pairs
         free = verify_gibbs_stochastic(

@@ -77,8 +77,10 @@ class FockTruncation:
         """
         if beta_e <= 0:
             raise ValueError("need beta_e > 0 to bound the thermal tail")
-        headroom = int(math.ceil(-math.log(1e-12) / beta_e))
-        return cls.thermal(beta_e, max(1, rounds - 1 + headroom))
+        headroom = -math.log(1e-12) / beta_e
+        if not math.isfinite(headroom):
+            raise ValueError(f"beta_e={beta_e} leaves no finite cutoff for a 1e-12 thermal tail")
+        return cls.thermal(beta_e, max(1, rounds - 1 + int(math.ceil(headroom))))
 
 
 def anharmonic_level_table(gap: float, tau: float, n_max: int) -> np.ndarray:
@@ -162,16 +164,14 @@ def pauli_x(state: JointDiagState) -> JointDiagState:
 def u_beta_apply(state: JointDiagState) -> JointDiagState:
     """Exact swap unitary on populations: |1, n-1> <-> |0, n>, |0, 0> fixed.
 
-    The |1, n_max> population would move to |0, n_max+1>, outside the
-    truncation; it is added to the lost-weight tracker instead.
+    This is the sector rotation at cos^2 = 0.  The |1, n_max> population would
+    move to |0, n_max+1>, outside the truncation; it is added to the
+    lost-weight tracker instead.
     """
-    p = state.p
-    out = np.empty_like(p)
-    out[0, 0] = p[0, 0]
-    out[0, 1:] = p[1, :-1]
-    out[1, :-1] = p[0, 1:]
-    out[1, -1] = 0.0
-    return JointDiagState(p=out, lost=state.lost + float(p[1, -1]))
+    out = _rotate_sectors(state, 0.0)
+    out.lost += float(state.p[1, -1])
+    out.p[1, -1] = 0.0
+    return out
 
 
 def reuse_protocol_trace(p0: float, trunc: FockTruncation, spectrum, rounds: int) -> np.ndarray:
@@ -448,8 +448,8 @@ class CavityParams:
     firing_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if not (self.g >= 0 and self.loss_rate >= 0 and self.nbar >= 0):
-            raise ValueError("cavity parameters must be non-negative")
+        if not all(0.0 <= value < math.inf for value in (self.g, self.loss_rate, self.nbar)):
+            raise ValueError("cavity parameters must be finite and non-negative")
         if self.firing_rate is not None and not self.firing_rate >= 0:
             raise ValueError("firing rate must be non-negative")
 
@@ -463,6 +463,8 @@ class CavityParams:
             nbar = 1.0 / math.expm1(beta_e)
         except OverflowError:  # e^{beta_e} passes the largest double above beta_e ~ 709.78
             nbar = 0.0
+        if nbar == math.inf:  # 1 / (e^{beta_e} - 1) passes the largest double below ~ 5.6e-309
+            raise ValueError(f"reservoir occupation at beta_e={beta_e} overflows a double")
         return cls(g=g, loss_rate=loss_rate, nbar=nbar, firing_rate=firing_rate)
 
 
@@ -502,33 +504,17 @@ def _rk4_propagator(generator: np.ndarray, h: float) -> np.ndarray:
 _BLOCK_STEPS = 256
 
 
-@functools.lru_cache(maxsize=16)
-def _relaxation_step(n_levels: int, loss_rate: float, nbar: float,
-                     duration: float) -> tuple[int, np.ndarray]:
-    """Step count and read-only transposed RK4 step matrix of one wait.
-
-    Fixed fourth-order steps of at most 0.05 / (A (nbar+1) n_max), half the
-    scheme's stability limit on the fastest decay rate of the truncated ladder.
-    The transposed matrix stays a view: a contiguous copy selects another BLAS
-    kernel, whose rounding differs in the last bits.
-    """
-    max_step = 0.05 / (loss_rate * (nbar + 1.0) * (n_levels - 1))
-    steps = max(1, int(math.ceil(duration / max_step)))
-    R = _rk4_propagator(_rate_generator(n_levels, loss_rate, nbar), duration / steps)
-    R.flags.writeable = False
-    return steps, R.T
-
-
 def _rethermalize_array(arr: np.ndarray, loss_rate: float, nbar: float,
                         duration: float) -> np.ndarray:
     """Integrate the rate equation on each row of a (k, n_levels) stack for a finite `duration`.
 
-    One step matrix is built per (n_levels, A, nbar, duration) and cached
-    (`_relaxation_step`).  Each step is one BLAS product over the whole stack,
-    so callers relax every row that waits under the same parameters in one
-    call.  The steps alternate between two reused buffers through their bound
-    `ndarray.dot` methods: the same C routine and BLAS call as `np.dot`, so the
-    same bits, without its dispatch layer.
+    Fixed fourth-order steps of at most 0.05 / (A (nbar+1) n_max), half the
+    scheme's stability limit on the fastest decay rate of the truncated ladder.
+    Each step is one BLAS product of the whole stack with the transposed step
+    matrix, written into a second buffer, so callers relax every row that
+    waits under the same parameters in one call.  The transposed matrix stays
+    a view: a contiguous copy selects another BLAS kernel, whose rounding
+    differs in the last bits.
 
     Steps run in blocks of `_BLOCK_STEPS`.  After a block whose last step
     returned its input bit for bit (bytes compared, so -0.0 and 0.0 differ),
@@ -539,18 +525,19 @@ def _rethermalize_array(arr: np.ndarray, loss_rate: float, nbar: float,
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
     if duration == 0.0 or loss_rate == 0.0:
         return arr.copy()
-    steps, RT = _relaxation_step(arr.shape[-1], loss_rate, nbar, duration)
+    n_levels = arr.shape[-1]
+    max_step = 0.05 / (loss_rate * (nbar + 1.0) * (n_levels - 1))
+    if not (max_step > 0.0 and duration / max_step < math.inf):
+        raise ValueError(f"a wait of {duration} at loss rate {loss_rate} and nbar={nbar} "
+                         f"needs more RK4 steps than a double counts")
+    steps = max(1, int(math.ceil(duration / max_step)))
+    RT = _rk4_propagator(_rate_generator(n_levels, loss_rate, nbar), duration / steps).T
     a = arr.dot(RT)
     b = np.empty_like(a)
-    a_dot, b_dot = a.dot, b.dot
     for done in range(1, steps, _BLOCK_STEPS):
-        pairs, odd = divmod(min(_BLOCK_STEPS, steps - done), 2)
-        for _ in range(pairs):
-            a_dot(RT, b)
-            b_dot(RT, a)
-        if odd:
-            a_dot(RT, b)
-            a, b, a_dot, b_dot = b, a, b_dot, a_dot
+        for _ in range(min(_BLOCK_STEPS, steps - done)):
+            a.dot(RT, b)
+            a, b = b, a
         if a.tobytes() == b.tobytes():
             break
     return a
@@ -621,11 +608,11 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
 
     Atoms and cavities start thermal at the qubit spectrum's beta * E.  Per
     atom: qubit flip, exchange interaction with cavity one, qubit flip,
-    exchange interaction with cavity two, then both cavities dissipate for the
-    inter-atom interval 1/firing_rate: one product of the (2, n_max+1) stack
-    with that wait's `_relaxation_propagator` (a firing rate of None or 0 means
-    the cavities fully re-thermalize between atoms).  The mode marginals stay
-    Fock-diagonal throughout, so tracing out each atom is exact.
+    exchange interaction with cavity two.  Between two atoms both cavities
+    dissipate for the interval 1/firing_rate: one product of the (2, n_max+1)
+    stack with that wait's `_relaxation_propagator` (a firing rate of None or 0
+    means the cavities fully re-thermalize between atoms).  The mode marginals
+    stay Fock-diagonal throughout, so tracing out each atom is exact.
     """
     if n_atoms < 1:
         raise ValueError("need at least one atom")
@@ -639,6 +626,8 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
                                    1.0 / params.firing_rate)
     finals = np.empty(n_atoms)
     for atom in range(n_atoms):
+        if atom:
+            cavities = cavities.dot(P) if params.firing_rate else fresh.copy()
         qubit = thermal_qubit
         for i, cavity in enumerate(cavities):
             qubit = qubit[::-1]
@@ -646,10 +635,6 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
             qubit = joint.qubit_marginal
             cavities[i] = joint.mode_marginal
         finals[atom] = qubit[0]
-        if not params.firing_rate:
-            cavities = fresh.copy()
-        else:
-            cavities = cavities.dot(P)
     return finals
 
 

@@ -456,6 +456,20 @@ def test_cavity_params_validation():
     for beta_e in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+    for bad in ({"g": math.inf}, {"loss_rate": math.inf}, {"nbar": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            CavityParams(**{"g": 1.0, "loss_rate": 1.0, "nbar": 0.5, **bad})
+    # 1 / (e^{beta_e} - 1) overflows, and so does the cutoff's headroom
+    for beta_e in (1e-310, 5e-324):
+        with pytest.raises(ValueError, match="overflows"):
+            CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+        with pytest.raises(ValueError, match="finite cutoff"):
+            FockTruncation.for_rounds(beta_e, 2)
+    # the RK4 step underflows to 0, or the step count overflows
+    mode = ModePopulations.thermal(1.0, 20)
+    for loss_rate, duration in ((1e308, 1.0), (1e300, 1e10)):
+        with pytest.raises(ValueError, match="RK4 steps"):
+            rethermalize_mode(mode, CavityParams(g=1.0, loss_rate=loss_rate, nbar=0.5), duration)
     params = CavityParams.resonant(g=2.0, loss_rate=0.3, beta_e=1.0)
     assert params.nbar == pytest.approx(1.0 / math.expm1(1.0))
 
@@ -513,7 +527,7 @@ def _duration_of(steps, n_levels):
       for k in (1, 2, 3)),
     # on 11 levels the stack stops changing after 11,111 of the 15,820 steps
     pytest.param(_top_ground_uniform(11), 50.0, id="past-the-fixed-point"),
-    # the edges of the loop's step pairs and blocks
+    # one step, odd and even step counts, and the edges of the loop's blocks
     *(pytest.param(np.random.default_rng(13).dirichlet(np.ones(11), size=k),
                    _duration_of(steps, 11), id=f"{k}-rows-{steps}-steps")
       for k, steps in ((2, 1), (2, 7), (2, 8), (2, bosonic_sim._BLOCK_STEPS + 1),
@@ -538,29 +552,18 @@ def _reuse(wait, rounds, n_max=20):
 
 def test_one_read_only_propagator_is_built_per_wait():
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
-    steps, RT = bosonic_sim._relaxation_step(61, params.loss_rate, params.nbar, 10.0)
-    again = bosonic_sim._relaxation_step(61, params.loss_rate, params.nbar, 10.0)
-    assert again[0] == steps and again[1] is RT
     P = bosonic_sim._relaxation_propagator(61, params.loss_rate, params.nbar, 10.0)
     assert bosonic_sim._relaxation_propagator(61, params.loss_rate, params.nbar, 10.0) is P
-    for matrix in (RT, P):
-        with pytest.raises(ValueError, match="read-only"):
-            matrix[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        P[0, 0] = 1.0
 
     bosonic_sim._relaxation_propagator.cache_clear()
-    bosonic_sim._relaxation_step.cache_clear()
     waits = (0.5, 1.0, 2.5)
     for wait in waits:
         _stream(wait, 4)
         _stream(wait, 5)
         _reuse(wait, 4)
     info = bosonic_sim._relaxation_propagator.cache_info()
-    assert (info.misses, info.hits) == (len(waits), 2 * len(waits))
-    # each build steps the identity once; a stepped mode reuses that step matrix
-    for wait in waits:
-        for _ in range(2):
-            rethermalize_mode(ModePopulations.thermal(1.0, 20), params, wait)
-    info = bosonic_sim._relaxation_step.cache_info()
     assert (info.misses, info.hits) == (len(waits), 2 * len(waits))
 
 

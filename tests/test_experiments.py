@@ -278,6 +278,11 @@ def test_cli_usage_errors(capsys, tmp_path):
                 "fig5 g=-1"):
         fig_id, setting = bad.split()
         assert main(["figure", fig_id, "--set", setting]) == 2
+    # a cutoff headroom, a reservoir occupation and an RK4 step that overflow or underflow
+    for settings in ("fig5 beta=1e-310", "fig5 beta=1e-310 n_max=60", "fig8 beta=1e-310 n_max=60",
+                     "fig5 loss_rate=1e308 n_max=20 n_atoms=1"):
+        fig_id, *sets = settings.split()
+        assert main(["figure", fig_id, *(arg for s in sets for arg in ("--set", s))]) == 2
     assert main(["query", "jc-deexcitation", "--s", "nan"]) == 2
     assert main(["query", "curve-height", "--p", "0.7,0.3", "--x", "nan"]) == 2
     assert main(["query", "ideal-ground", "--k", "-1", "--betaE", "1", "--p0", "0.5"]) == 2

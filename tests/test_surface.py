@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import os
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,24 @@ def test_knobs_are_the_declared_ones():
     parser = cli._build_parser()
     assert {a.option_strings[0] for a in parser._actions if a.option_strings} == GLOBAL_OPTIONS
     assert xhbac.ExperimentConfig.field_names() == CONFIG_FIELDS
+
+
+# Module-level lru_caches and their sizes; adding, resizing or dropping one is an edit here.
+LRU_CACHES = {
+    "acceptance._wide_window_optimum": 4,
+    "bosonic_sim._relaxation_propagator": 16,
+    "thermal_core._permutation_table": 8,
+}
+
+
+def test_module_caches_are_the_declared_ones():
+    caches = {}
+    for info in pkgutil.iter_modules(xhbac.__path__):
+        module = importlib.import_module(f"xhbac.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert caches == LRU_CACHES
 
 
 def test_main_leaves_the_environment_alone(tmp_path, capsys):
