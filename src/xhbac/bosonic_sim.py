@@ -59,8 +59,9 @@ class FockTruncation:
     tail_bound: float
 
     def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        if (isinstance(self.n_max, bool) or not isinstance(self.n_max, (int, np.integer))
+                or self.n_max < 1):
+            raise ValueError(f"n_max must be an integer of at least 1, got {self.n_max!r}")
         if not 0.0 <= self.tail_bound <= 1.0:
             raise ValueError("tail bound must be a probability")
 
@@ -106,6 +107,8 @@ class ModePopulations:
         self.t = np.asarray(self.t, dtype=float)
         if self.t.ndim != 1 or self.t.size < 2:
             raise ValueError("mode populations must be a vector with at least two levels")
+        if not np.isfinite(self.t).all():
+            raise ValueError("mode populations must be finite")
         if np.any(self.t < -1e-12):
             raise ValueError("negative mode population")
         if self.t.sum() > 1.0 + 1e-9:
@@ -291,14 +294,13 @@ def _linspace_at(start: float, stop: float, count: int):
 def _value_and_slope(s: np.ndarray, roots: np.ndarray,
                      weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """f(s) = sum_n w_n sin^2(s sqrt(n)) and f'(s) = sum_n w_n sqrt(n) sin(2 s sqrt(n))."""
-    value = np.empty(s.size)
-    slope = np.empty(s.size)
-    rows = max(1, _BATCH_ELEMENTS // roots.size)
-    for start in range(0, s.size, rows):
-        theta = np.multiply.outer(s[start : start + rows], roots)
-        value[start : start + rows] = np.sin(theta) ** 2 @ weights
-        slope[start : start + rows] = np.sin(2.0 * theta) @ (weights * roots)
-    return value, slope
+    theta = np.multiply.outer(s, roots)
+    return np.sin(theta) ** 2 @ weights, np.sin(2.0 * theta) @ (weights * roots)
+
+
+# Share of the full ladder's curvature term (sum_n w_n n) r^2 that the weight
+# dropped from the centre pass may add to a block bound.
+_PREFIX_SHARE = 1.0 / 16.0
 
 
 def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTruncation,
@@ -312,24 +314,26 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
 
     The scan returns exactly the dense-grid argmax (the first grid point of
     largest value) without evaluating the whole grid.  The grid is cut into
-    blocks of consecutive points; a block with centre c and half-width r holds
-    no value above f(c) + |f'(c)| r + (sum_n w_n n) r^2, by Taylor's theorem
-    with |f''| / 2 <= sum_n w_n n, plus a slack that covers float64 rounding.
-    The block with the best f(c) is evaluated in full and its maximum becomes
-    a lower bound; only the blocks whose upper bound reaches it are evaluated.
-    A grid point's value does not depend on which points share its call (see
-    `jc_deexcitation`), so any block size reproduces the dense scan's values.
+    blocks of consecutive points.  The centre pass evaluates only the first m
+    ladder terms, f_m; a block with centre c and half-width r then holds no
+    value above f_m(c) + |f_m'(c)| r + (sum_{n<=m} w_n n) r^2 + sum_{n>m} w_n,
+    by Taylor's theorem with |f_m''| / 2 <= sum_{n<=m} w_n n and sin^2 <= 1
+    for the dropped terms, plus a slack that covers float64 rounding.  m is
+    the shortest prefix whose dropped weight is at most 1/16 of the full
+    ladder's (sum_n w_n n) r^2 (8 of 41 terms at bE = 1).  Blocks go in runs
+    of a fixed element budget, with a running lower bound (the largest value
+    of a grid point evaluated so far): each run evaluates its block of best
+    f_m(c) if that block's bound reaches the lower bound, then every block
+    whose bound still reaches it.  A grid point's value does not depend on
+    which points share its call (see `jc_deexcitation`), so any block size
+    and run length reproduce the dense scan's values.
 
-    The grid itself is never built: grid points are computed from their
+    Memory does not grow with the window: grid points are computed from their
     indices with linspace's formula (bitwise the same values), and every
-    angle-by-term matrix is evaluated in batches of a fixed element budget.
-    The per-block arrays (centres, radii, values, slopes, bounds) are still
-    held whole, one element per block, about 66 bytes per block, so memory
-    grows with the window: they fit the 2^16-element budget only on windows
-    below about 8,389 angle units at the default step 1e-3.  Traced peaks:
-    3.6 MB on [0, 5000], 10.7 MB on [0, 20000], 26.8 MB on [0, 50000].  A
-    window whose grid step underflows to 0, or whose grid or block indices
-    overflow int64, raises ValueError.
+    per-block array and angle-by-term matrix lives for one run of a fixed
+    element budget.  The traced peak is about 2 MB on [0, 5000] and on
+    [0, 50000] alike.  A window whose grid step underflows to 0, or whose grid
+    or block indices overflow int64, raises ValueError.
 
     During the scan, ladder terms whose thermal weight sits below float64
     resolution are dropped (they cannot change a double); the refinement stage
@@ -354,26 +358,30 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
     if count + block > np.iinfo(np.int64).max:
         raise ValueError(f"scan blocks of {block} points at grid_step={grid_step} "
                          f"overflow the int64 indices of a {count}-point grid")
-    starts = np.arange(0, count, block)
-    firsts = grid(starts)
-    lasts = grid(np.minimum(starts + block, count) - 1)
-    centres = 0.5 * (firsts + lasts)
-    radii = np.maximum(centres - firsts, lasts - centres)
-    centre_value, centre_slope = _value_and_slope(centres, roots, weights)
+    n_blocks = (count - 1) // block + 1
     # Float64 error of a computed f: the rounded arguments s sqrt(n) shift each
     # term by up to eps |s| sqrt(n), and the slope's by 2 eps |s| n (times r,
     # which is below 1 wherever the bound can prune at all); the sines and the
-    # sums add a few eps per term.
+    # sums add a few eps per term.  Taken over the full ladder, so it also
+    # covers the prefix and the rounding of the dropped weight.
     curvature = float(weights @ roots**2)
     s_abs = max(abs(s_lo), abs(s_hi))
     eps = np.finfo(float).eps
     slack = 1e-12 + 8.0 * eps * (s_abs * (float(weights @ roots) + 2.0 * curvature) + scan_cap)
-    upper = centre_value + np.abs(centre_slope) * radii + curvature * radii**2 + slack
+    # dropped[m] = sum_{n>m} w_n; the prefix only has to make the bound prune,
+    # so its length is set from the nominal half-width.
+    dropped = np.append(np.cumsum(weights[::-1])[::-1], 0.0)
+    share = _PREFIX_SHARE * curvature * (0.5 * (block - 1) * grid_step) ** 2
+    m = 1 + int(np.argmax(dropped[1:] <= share))
+    head_roots, head_weights = roots[:m], weights[:m]
+    head_curvature = float(head_weights @ head_roots**2)
+    head_slack = float(dropped[m]) + slack
     rows = max(1, _BATCH_ELEMENTS // scan_cap)
+    run = max(1, _BATCH_ELEMENTS // m)
 
-    def best_point(blocks: np.ndarray) -> tuple[int, float]:
-        """First grid index of largest value over the points of ascending `blocks`, and the value."""
-        # Point j of the run lies at blocks[j // block] * block + j % block; only
+    def best_point(blocks: np.ndarray) -> tuple[float, int]:
+        """Largest value over the points of ascending `blocks`, and minus its first grid index."""
+        # Point j of the call lies at blocks[j // block] * block + j % block; only
         # the grid's last block can be short.
         total = (blocks.size - 1) * block + min(block, count - int(blocks[-1]) * block)
         best_i, best_v = 0, -1.0
@@ -384,11 +392,29 @@ def optimize_interaction_time(spectrum, s_lo: float, s_hi: float, trunc: FockTru
             i = int(np.argmax(vals))
             if vals[i] > best_v:
                 best_i, best_v = int(points[i]), float(vals[i])
-        return best_i, best_v
+        return best_v, -best_i
 
-    _, lower = best_point(np.array([int(np.argmax(centre_value))]))
-    best_i, _ = best_point(np.flatnonzero(upper >= lower))
-    best_s = float(grid(np.array([best_i]))[0])
+    # (largest value evaluated so far, minus its first grid index): max() keeps
+    # the dense scan's first-index argmax across runs.
+    best = (-1.0, 0)
+    for first in range(0, n_blocks, run):
+        blocks = np.arange(first, min(first + run, n_blocks))
+        starts = blocks * block
+        firsts = grid(starts)
+        lasts = grid(np.minimum(starts + block, count) - 1)
+        centres = 0.5 * (firsts + lasts)
+        radii = np.maximum(centres - firsts, lasts - centres)
+        centre_value, centre_slope = _value_and_slope(centres, head_roots, head_weights)
+        upper = (centre_value + np.abs(centre_slope) * radii + head_curvature * radii**2
+                 + head_slack)
+        k = int(np.argmax(centre_value))
+        if upper[k] >= best[0]:
+            best = max(best, best_point(blocks[k : k + 1]))
+            upper[k] = -1.0  # already folded into best
+        survivors = blocks[upper >= best[0]]
+        if survivors.size:
+            best = max(best, best_point(survivors))
+    best_s = float(grid(np.array([-best[1]]))[0])
     lo = max(s_lo, best_s - grid_step)
     hi = min(s_hi, best_s + grid_step)
     s_star = _golden_max(lambda s: jc_deexcitation(s, spectrum, trunc), lo, hi)
@@ -588,17 +614,24 @@ def jc_round(state: JointDiagState, g: float, t_int: float) -> JointDiagState:
 
     Each excitation sector {|0, n>, |1, n-1>} rotates by the angle
     g * t_int * sqrt(n); |0, 0> is left alone, and the orphaned top entry
-    |1, n_max> (whose partner lies past the cutoff) stays in place.
+    |1, n_max> (whose partner lies past the cutoff) stays in place.  A NaN
+    or infinite g * t_int raises ValueError.
     """
+    angle = g * t_int
+    if not math.isfinite(angle):
+        raise ValueError(f"interaction angle must be finite, got g={g}, t_int={t_int}")
     n = np.arange(1, state.p.shape[1])
-    return _rotate_sectors(state, np.cos(g * t_int * np.sqrt(n)) ** 2)
+    return _rotate_sectors(state, np.cos(angle * np.sqrt(n)) ** 2)
 
 
 def intensity_dependent_jc_round(state: JointDiagState, s: float) -> JointDiagState:
     """Exchange interaction whose rotation angle is s in every excitation sector.
 
-    At s = pi/2 this reproduces the exact swap unitary on populations.
+    At s = pi/2 this reproduces the exact swap unitary on populations.  A NaN
+    or infinite s raises ValueError.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"interaction angle must be finite, got {s}")
     return _rotate_sectors(state, math.cos(s) ** 2)
 
 
@@ -614,7 +647,7 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
     means the cavities fully re-thermalize between atoms).  The mode marginals
     stay Fock-diagonal throughout, so tracing out each atom is exact.
     """
-    if n_atoms < 1:
+    if _round_count(n_atoms) < 1:
         raise ValueError("need at least one atom")
     beta_e = spectrum.beta * spectrum.gap
     x = math.exp(-beta_e)

@@ -54,6 +54,18 @@ def test_truncation_tail_and_headroom():
         FockTruncation(n_max=0, tail_bound=0.0)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 60.0, True])
+def test_truncation_refuses_a_cutoff_that_is_not_an_integer(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        FockTruncation.thermal(1.0, n_max)
+
+
+@pytest.mark.parametrize("t", [[math.nan, 0.5], [0.5, math.inf], [-math.inf, 0.5]])
+def test_mode_populations_refuse_non_finite_entries(t):
+    with pytest.raises(ValueError, match="finite"):
+        ModePopulations(t)
+
+
 def test_thermal_mode_deficit_matches_the_tail():
     mode = ModePopulations.thermal(1.0, 40)
     assert mode.deficit == pytest.approx(math.exp(-41.0), rel=1e-9)
@@ -296,11 +308,31 @@ def test_wide_window_scan_streams_its_grid():
     assert traced_peak_mb(lambda: optimize_interaction_time(QUBIT, 0.0, 5000.0, TRUNC)) < 8.0
 
 
+def test_scan_memory_does_not_grow_with_the_window():
+    # per-block arrays held whole for this 390,626-block window took 26.8 MB
+    assert traced_peak_mb(lambda: optimize_interaction_time(QUBIT, 0.0, 50000.0, TRUNC)) < 4.0
+
+
 def test_wide_window_optimum_is_pinned():
     # the dense 5,000,001-point scan gave exactly these values
     best = optimize_interaction_time(QUBIT, 0.0, 5000.0, TRUNC)
     assert best.s_star == 2866.7394085658507
     assert best.probability == 0.9625788816762494
+
+
+@pytest.mark.parametrize("beta_e, n_max, s_star, probability", [
+    # a flat landscape: hundreds of blocks survive the prefix bound
+    (3.0, 60, 1858.2504882535945, 0.9998575383362118),
+    (0.2, 200, 3253.1203024203305, 0.7850218085767331),
+])
+def test_wide_window_optimum_is_pinned_at_other_temperatures(beta_e, n_max, s_star,
+                                                              probability):
+    # the dense 5,000,001-point scan gave exactly these values
+    spectrum = EnergySpectrum((0.0, 1.0), beta_e)
+    best = optimize_interaction_time(spectrum, 0.0, 5000.0,
+                                     FockTruncation.thermal(beta_e, n_max))
+    assert best.s_star == s_star
+    assert best.probability == probability
 
 
 def test_deexcitation_does_not_depend_on_the_call_shape():
@@ -694,6 +726,17 @@ def test_intensity_dependent_round_examples():
     assert intensity_dependent_jc_round(state, math.pi).p == pytest.approx(state.p, abs=1e-15)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_exchange_rounds_refuse_a_non_finite_angle(angle):
+    state = JointDiagState.product(np.array([0.3, 0.7]), ModePopulations.thermal(1.0, 10))
+    with pytest.raises(ValueError, match="finite"):
+        jc_round(state, 1.0, angle)
+    with pytest.raises(ValueError, match="finite"):
+        jc_round(state, angle, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        intensity_dependent_jc_round(state, angle)
+
+
 @st.composite
 def joint_states(draw, n_levels=10):
     weights = draw(
@@ -801,6 +844,21 @@ def test_atom_stream_with_finite_losses_settles():
     assert finals[-1] < finals[0]
 
 
+@pytest.mark.parametrize("t_int", [math.nan, math.inf])
+@pytest.mark.parametrize("firing_rate", [None, 1.0])
+def test_atom_stream_refuses_a_non_finite_interaction_time(t_int, firing_rate):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=firing_rate)
+    with pytest.raises(ValueError, match="finite"):
+        atom_stream_sim(params, 3, t_int, TRUNC, QUBIT)
+
+
+@pytest.mark.parametrize("n_atoms", [2.5, True, 0, -1])
+def test_atom_stream_refuses_a_bad_atom_count(n_atoms):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=1.0)
+    with pytest.raises(ValueError):
+        atom_stream_sim(params, n_atoms, 98.92, TRUNC, QUBIT)
+
+
 def test_reused_cavity_with_full_reset_matches_the_noisy_law():
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     thermal_ground = float(gibbs_state(QUBIT)[0])
@@ -816,6 +874,14 @@ def test_reused_cavity_refuses_a_bad_wait_before_the_first_round(t_wait, rounds)
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     with pytest.raises(ValueError, match="duration"):
         jc_reuse_trace(0.5, 1.0, t_wait, params, TRUNC, QUBIT, rounds)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+@pytest.mark.parametrize("t_wait", [1.0, math.inf])
+def test_reused_cavity_refuses_a_non_finite_angle(s, t_wait):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        jc_reuse_trace(0.5, s, t_wait, params, TRUNC, QUBIT, 3)
 
 
 def test_reused_cavity_without_relaxation_oscillates():
