@@ -13,9 +13,15 @@ Mode dissipation between interactions follows the diagonal rate equation
 truncated with a reflecting top level so probability is conserved exactly and
 the truncated thermal vector is an exact fixed point.
 
-States are Fock-diagonal throughout: the exchange coupling conserves total
-excitation number, so block coherences never reach the diagonal marginals
-tracked here (a dense-matrix reference in the test suite confirms this).
+States are Fock-diagonal throughout.  The exchange coupling conserves total
+excitation number, so one exchange applied to a diagonal joint state gives
+exactly the populations computed here, and both marginals stay diagonal (the
+test suite checks one such exchange against a dense matrix).  The exchange
+does create coherences inside each sector {|0, n>, |1, n-1>}, and an atom
+leaves the two cavities it crosses correlated; a later exchange feeds both
+back into the populations, and the models here drop both.  They are exact
+where a full reset follows every interaction; `atom_stream_sim` and
+`jc_reuse_trace` say what each drops and how far that moves its table.
 """
 
 from __future__ import annotations
@@ -85,7 +91,12 @@ class FockTruncation:
 
 
 def anharmonic_level_table(gap: float, tau: float, n_max: int) -> np.ndarray:
-    """Ladder with gaps gap * (1 - (n+1) tau^2); raises once a gap turns non-positive."""
+    """Ladder with gaps gap * (1 - (n+1) tau^2); raises once a gap turns non-positive.
+
+    A NaN or infinite gap or tau raises ValueError.
+    """
+    if not (math.isfinite(gap) and math.isfinite(tau)):
+        raise ValueError(f"gap and tau must be finite, got gap={gap}, tau={tau}")
     n = np.arange(1, n_max + 1)
     factors = 1.0 - n * tau**2
     if np.any(factors <= 0.0):
@@ -644,8 +655,16 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
     exchange interaction with cavity two.  Between two atoms both cavities
     dissipate for the interval 1/firing_rate: one product of the (2, n_max+1)
     stack with that wait's `_relaxation_propagator` (a firing rate of None or 0
-    means the cavities fully re-thermalize between atoms).  The mode marginals
-    stay Fock-diagonal throughout, so tracing out each atom is exact.
+    means the cavities fully re-thermalize between atoms).
+
+    Each cavity is carried as its own diagonal marginal, so the model drops
+    the correlations, classical and quantum, that each atom leaves between
+    the two cavities.  With a full reset between atoms nothing is dropped.
+    Otherwise this is a modelling gap, not a rounding tolerance: against a
+    full density-matrix reference (the exchange unitary and thermal Lindblad
+    damping on the same truncated ladder) the fig5 table differs by up to
+    2.1e-4 at ratio 1 and 6.9e-3 at ratio 0.1, most of it the classical
+    correlation between the cavities.
     """
     if _round_count(n_atoms) < 1:
         raise ValueError("need at least one atom")
@@ -680,11 +699,22 @@ def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
     t_wait while keeping its classical correlations with the qubit (one
     product of both qubit sectors with that wait's `_relaxation_propagator`).
     An infinite t_wait resets the mode to thermal and discards correlations;
-    any other t_wait must be finite and non-negative.
+    any other t_wait must be finite and non-negative.  A NaN or infinite s
+    raises ValueError, even for zero rounds.
+
+    Only the joint populations are carried, so the model drops the coherence
+    that each exchange creates inside each sector {|0, n>, |1, n-1>}, which
+    the next flip and exchange would feed back into the populations.  With
+    an infinite t_wait nothing is dropped.  Otherwise this is a modelling
+    gap, not a rounding tolerance: against a full density-matrix reference
+    (as in `atom_stream_sim`) the fig8 table differs by up to 2.1e-2 at
+    t_th = 0, 1.2e-4 at 0.5 and 1.1e-5 at 1.
     """
     mode = ModePopulations.thermal(spectrum.beta * spectrum.gap, trunc.n_max)
     state = JointDiagState.product([_ground_population(p0), 1.0 - p0], mode)
     ground = np.empty(_round_count(rounds) + 1)
+    if not math.isfinite(s):
+        raise ValueError(f"interaction angle must be finite, got {s}")
     if t_wait != math.inf:
         P = _relaxation_propagator(trunc.n_max + 1, params.loss_rate, params.nbar, t_wait)
     ground[0] = state.qubit_marginal[0]

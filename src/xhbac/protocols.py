@@ -176,7 +176,7 @@ def oracle_optimal_round(p_system, spec) -> OracleRound:
     partial = np.full(targets.size, -np.inf)
     rows = max(1, _BATCH_ELEMENTS // n)
     for start in range(0, len(table), rows):
-        X, Y = _curve_elbows(joint[table[start : start + rows]], spec)
+        X, Y = _curve_elbows(joint[table[start : start + rows].astype(np.intp)], spec)
         np.maximum(partial, [np.minimum(_stacked_curve_heights(X, Y, x), 1.0).max()
                              for x in targets], out=partial)
     return OracleRound(ground=float(partial[0]), partial_sums=partial)

@@ -42,8 +42,8 @@ BASE_TOLERANCE = 1e-12
 #: Relative tolerance used when comparing thermo-majorization curves.
 CURVE_RTOL = 1e-9
 #: Largest temporary array, in elements, that the grid scans and the exhaustive
-#: oracle build at once (0.5 MB of float64); larger inputs stream in batches.
-_BATCH_ELEMENTS = 1 << 16
+#: oracle build at once (0.25 MB of float64); larger inputs stream in batches.
+_BATCH_ELEMENTS = 1 << 15
 
 
 class _BoltzmannCache:
@@ -99,6 +99,8 @@ class EnergySpectrum(_BoltzmannCache):
         object.__setattr__(self, "beta", float(self.beta))
         if len(levels) < 1:
             raise ValueError("spectrum needs at least one level")
+        if not all(map(math.isfinite, levels)):
+            raise ValueError(f"energy levels must be finite, got {levels}")
         if any(a > b for a, b in zip(levels, levels[1:])):
             raise ValueError("energy levels must be non-decreasing")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
@@ -453,11 +455,14 @@ class ExtremalPointSet:
 def _permutation_table(n: int) -> np.ndarray:
     """Every permutation of range(n) as a row, in lexicographic order (read-only).
 
-    Refuses n above 8, the enumeration guard of `extremal_points` and
-    `oracle_optimal_round`: a time and memory limit, not one of the method.
-    At n = 9 an `extremal_points` call took 1.2-1.5 s and 200-235 MB peak RSS
-    and an oracle call 0.25-0.3 s and 88 MB (2-vCPU Xeon), and each further
-    level multiplies both by about n.
+    Entries are uint8, one byte each (n!·n bytes, 0.31 MB at n = 8); callers
+    cast a chunk to np.intp before they gather through it, since a uint8
+    index gathers about 3x slower.  Refuses n above 8, the enumeration guard
+    of `extremal_points` and `oracle_optimal_round`: a time and memory limit,
+    not one of the method.  At n = 9 the table takes 3.1 MB, an
+    `extremal_points` call 1.0-1.5 s and 157-185 MB peak RSS, and an oracle
+    call 0.15-0.23 s and 42 MB (2-vCPU Xeon); each further level multiplies
+    the time and the arrays by about n.
 
     Built up from the table of range(m-1): the block of rows that starts with
     f goes on with a permutation of the other m-1 values, which is a row of
@@ -465,9 +470,9 @@ def _permutation_table(n: int) -> np.ndarray:
     """
     if n > 8:
         raise ValueError(f"dimension {n} exceeds the factorial-enumeration guard 8")
-    table = np.zeros((1, 0), dtype=np.intp)
+    table = np.zeros((1, 0), dtype=np.uint8)
     for m in range(1, n + 1):
-        first = np.arange(m)
+        first = np.arange(m, dtype=np.uint8)
         rest = table + (table >= first[:, None, None])  # (m, (m-1)!, m-1)
         count = m * len(table)
         table = np.concatenate((np.repeat(first, len(table))[:, None],
@@ -513,28 +518,38 @@ def _merge_images(candidates: np.ndarray, tol: float) -> np.ndarray:
     return reps[kept]
 
 
-def extremal_points(p, spectrum, dedup_tol: float = 1e-10) -> ExtremalPointSet:
-    """Apply every extremal map for the beta-order of p and deduplicate the images.
+def _order_images(p: np.ndarray, spectrum, table: np.ndarray) -> np.ndarray:
+    """Image of p under the extremal map onto each order (row) of `table`.
 
     The map onto order alpha sends p to the population whose cumulative sums
     in alpha-order are the heights of p's thermo-majorization curve at
-    cumsum(w[alpha]), so every image is read off one curve, for all d! orders
-    at once, without building a matrix.  Images that lie within `dedup_tol`
-    of a kept image are merged into it (see `_merge_images`); `dedup_tol`
-    below machine epsilon is refused, since a grid that fine cannot separate
-    populations.  Refuses d above 8, since the orders number d! (see
-    `_permutation_table`).
+    cumsum(w[alpha]), so every image is read off one curve, for all orders at
+    once, without building a matrix.  The index and height temporaries are
+    freed on return, before the caller merges the images.
     """
-    p = _population_row(p, len(spectrum.levels))
-    perms = _permutation_table(len(p))
-    if not dedup_tol >= np.finfo(float).eps:
-        raise ValueError(f"dedup_tol must be at least machine epsilon, got {dedup_tol}")
+    perms = table.astype(np.intp)
     X, Y = _row_elbows(p, spectrum)
     heights = np.interp(np.cumsum(spectrum._boltzmann[perms], axis=1), X, Y)
-    candidates = np.empty(perms.shape)
-    np.put_along_axis(candidates, perms, np.diff(heights, axis=1, prepend=0.0), axis=1)
-    points = _merge_images(candidates, dedup_tol)
-    return ExtremalPointSet(points=points, n_orders=len(perms), n_distinct=len(points))
+    images = np.empty(perms.shape)
+    np.put_along_axis(images, perms, np.diff(heights, axis=1, prepend=0.0), axis=1)
+    return images
+
+
+def extremal_points(p, spectrum, dedup_tol: float = 1e-10) -> ExtremalPointSet:
+    """Apply every extremal map for the beta-order of p and deduplicate the images.
+
+    Every image is read off p's thermo-majorization curve (`_order_images`).
+    Images that lie within `dedup_tol` of a kept image are merged into it (see
+    `_merge_images`); `dedup_tol` below machine epsilon is refused, since a
+    grid that fine cannot separate populations.  Refuses d above 8, since the
+    orders number d! (see `_permutation_table`).
+    """
+    p = _population_row(p, len(spectrum.levels))
+    table = _permutation_table(len(p))
+    if not dedup_tol >= np.finfo(float).eps:
+        raise ValueError(f"dedup_tol must be at least machine epsilon, got {dedup_tol}")
+    points = _merge_images(_order_images(p, spectrum, table), dedup_tol)
+    return ExtremalPointSet(points=points, n_orders=len(table), n_distinct=len(points))
 
 
 @dataclass(frozen=True)

@@ -346,6 +346,16 @@ def test_cli_figure_refused_input_is_a_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "query gibbs --E 0,nan --beta 1",
+    "query gibbs --E 0,inf --beta 1",
+    "figure fig5 --set levels=0,inf",
+])
+def test_cli_refuses_non_finite_levels(argv, capsys):
+    assert main(argv.split()) == 2
+    assert "energy levels must be finite" in capsys.readouterr().err
+
+
 def test_cli_figure_bad_override(capsys):
     assert main(["figure", "fig3", "--set", "nonsense=1"]) == 2
     assert main(["figure", "fig3", "--set", "rounds"]) == 2

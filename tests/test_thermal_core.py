@@ -23,7 +23,7 @@ from xhbac import (
 )
 from xhbac.thermal_core import (BASE_TOLERANCE, _curve_elbows, _merge_images, _permutation_table,
                                 _row_elbows, _row_heights)
-from conftest import random_spectrum
+from conftest import random_spectrum, traced_peak_mb
 
 Q = math.exp(-1.0)
 
@@ -61,6 +61,13 @@ def test_spectrum_validation():
         EnergySpectrum((0.0, 1.0), -0.5)
     with pytest.raises(ValueError):
         EnergySpectrum((0.0, 1.0), math.inf)
+
+
+@pytest.mark.parametrize("levels", [(0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+                                    (math.nan, math.nan, 1.0)])
+def test_spectrum_refuses_non_finite_levels(levels):
+    with pytest.raises(ValueError, match="finite"):
+        EnergySpectrum(levels, 1.0)
 
 
 def test_composite_levels_put_pair_i_a_at_joint_index_i_r_plus_a():
@@ -208,10 +215,17 @@ def test_stacked_elbows_equal_row_by_row_calls(k, rng):
 
 @pytest.mark.parametrize("n", range(9))
 def test_permutation_table_is_lexicographic(n):
-    want = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    want = np.array(list(itertools.permutations(range(n))), dtype=np.uint8)
     got = _permutation_table(n)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert (got == want).all()
+
+
+def test_permutation_table_is_built_at_one_byte_per_entry():
+    _permutation_table.cache_clear()
+    # an int64 table of the 8! rows took 2.5 MB, and its build peaked at 5.2 MB
+    assert traced_peak_mb(lambda: _permutation_table(8)) <= 1.0
+    assert _permutation_table(8).nbytes == math.factorial(8) * 8
 
 
 @given(pop_and_spectrum())
