@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .thermal_core import _BATCH_ELEMENTS, _beta_e, _ground_population, _round_count
+from .thermal_core import _BATCH_ELEMENTS, _beta_e, _count, _ground_population
 
 __all__ = [
     "FockTruncation",
@@ -97,7 +97,7 @@ def anharmonic_level_table(gap: float, tau: float, n_max: int) -> np.ndarray:
     """
     if not (math.isfinite(gap) and math.isfinite(tau)):
         raise ValueError(f"gap and tau must be finite, got gap={gap}, tau={tau}")
-    n = np.arange(1, n_max + 1)
+    n = np.arange(1, _count(n_max, "n_max") + 1)
     factors = 1.0 - n * tau**2
     if np.any(factors <= 0.0):
         raise ValueError(f"tau={tau} drives a gap non-positive below n_max={n_max}")
@@ -196,7 +196,7 @@ def reuse_protocol_trace(p0: float, trunc: FockTruncation, spectrum, rounds: int
     number of rounds would push more than 1e-10 of probability past the cutoff.
     """
     beta_e = spectrum.beta * spectrum.gap
-    if math.exp(-beta_e * (trunc.n_max - _round_count(rounds) + 1)) > 1e-10:
+    if math.exp(-beta_e * (trunc.n_max - _count(rounds) + 1)) > 1e-10:
         raise ValueError(
             f"truncation n_max={trunc.n_max} too small for {rounds} rounds at beta*E={beta_e}"
         )
@@ -216,7 +216,7 @@ def anharmonic_cooling_sums(tau: float, trunc: FockTruncation, spectrum, k: int)
     Both distributions are normalized over the same truncated ladder so the
     tau = 0 case is exactly degenerate.
     """
-    if k < 1 or k > trunc.n_max + 1:
+    if not 1 <= _count(k, "k") <= trunc.n_max + 1:
         raise ValueError(f"k must lie in [1, {trunc.n_max + 1}], got {k}")
     beta, gap = spectrum.beta, spectrum.gap
     levels_an = anharmonic_level_table(gap, tau, trunc.n_max)
@@ -666,7 +666,7 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
     2.1e-4 at ratio 1 and 6.9e-3 at ratio 0.1, most of it the classical
     correlation between the cavities.
     """
-    if _round_count(n_atoms) < 1:
+    if _count(n_atoms) < 1:
         raise ValueError("need at least one atom")
     beta_e = spectrum.beta * spectrum.gap
     x = math.exp(-beta_e)
@@ -712,7 +712,7 @@ def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
     """
     mode = ModePopulations.thermal(spectrum.beta * spectrum.gap, trunc.n_max)
     state = JointDiagState.product([_ground_population(p0), 1.0 - p0], mode)
-    ground = np.empty(_round_count(rounds) + 1)
+    ground = np.empty(_count(rounds) + 1)
     if not math.isfinite(s):
         raise ValueError(f"interaction angle must be finite, got {s}")
     if t_wait != math.inf:

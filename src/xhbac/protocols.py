@@ -25,11 +25,10 @@ from .thermal_core import (
     CompositeSpec,
     EnergySpectrum,
     _beta_e,
-    _curve_elbows,
+    _count,
     _ground_population,
     _permutation_table,
     _population_row,
-    _round_count,
     _row_elbows,
     _row_heights,
     as_population,
@@ -111,7 +110,7 @@ def run_optimal_protocol(p0, spec, rounds: int) -> ProtocolTrace:
     spec = _as_composite(spec)
     p = as_population(p0, spec.d)
     history = [p]
-    for _ in range(_round_count(rounds)):
+    for _ in range(_count(rounds)):
         p = optimal_round(p, spec)
         history.append(p)
     return ProtocolTrace(np.array(history))
@@ -130,24 +129,33 @@ class OracleRound:
     partial_sums: np.ndarray
 
 
-def _stacked_curve_heights(X: np.ndarray, Y: np.ndarray, x: float) -> np.ndarray:
-    """Height at abscissa x of every curve in a stack of elbow rows, clamped to each curve's domain.
+def _supporting_lines(rows: np.ndarray, spec) -> tuple[np.ndarray, np.ndarray]:
+    """Lines through the segments of the curves of a (k, n) stack of validated rows.
 
-    Reads the level-major storage behind `_curve_elbows` stacks (`X.T`, `Y.T`)
-    with flat-index gathers; any other (k, d+1) layout is copied to it first.
+    Returns (slope, intercept), each of shape (n, k): the j-th segment of row
+    i in beta-order has slope p/w and its line passes through the elbow where
+    the segment ends.  A concave piecewise-linear curve lies on or below the
+    line of each of its segments, so its height at x is the least of them.
+    A slope overflows to inf where a subnormal weight sits beside a nonzero
+    population.  Such segments come first in beta-order and end before
+    1/DBL_MAX, so at any x of at least the smallest normal float their lines
+    lie above the curve; the caller skips the NaN (inf * x - inf) they give.
     """
-    XL, YL = X.T, Y.T
-    k = XL.shape[1]
-    at = np.sum(XL[1:-1] < x, axis=0)  # segment index
-    at *= k
-    at += np.arange(k)  # flat index of each segment's left elbow
-    xs, ys = XL.ravel(), YL.ravel()
-    x0, y0 = xs[at], ys[at]
-    at += k
-    x1, y1 = xs[at], ys[at]
-    width = x1 - x0
-    t = np.divide(x - x0, width, out=np.ones_like(width), where=width > 0.0)
-    return y0 + (y1 - y0) * np.clip(t, 0.0, 1.0)
+    keys = rows * spec._order_scale
+    np.negative(keys, out=keys)
+    order = np.argsort(keys.T, axis=0, kind="stable")  # order[j]: each row's level of rank j
+    del keys
+    weight = spec._boltzmann[order]
+    order += np.arange(0, rows.size, rows.shape[1])  # flat indices into rows
+    pop = rows.ravel()[order]
+    del order
+    with np.errstate(over="ignore"):
+        slope = pop / weight
+    for j in range(1, len(pop)):  # elbows, in a cumsum's order; np.cumsum(axis=0) is ~8x slower
+        weight[j] += weight[j - 1]
+        pop[j] += pop[j - 1]
+    pop -= np.multiply(slope, weight, out=weight)
+    return slope, pop
 
 
 def oracle_optimal_round(p_system, spec) -> OracleRound:
@@ -160,32 +168,46 @@ def oracle_optimal_round(p_system, spec) -> OracleRound:
     thermo-majorization curve at the set's total Boltzmann weight, so the
     inner enumeration collapses to curve evaluations.  That geometric identity
     is cross-checked against literal matrix enumeration in the test suite.
+    Each height is read as the lower envelope of the curve's supporting
+    lines (`_supporting_lines`), while `optimal_round` interpolates between
+    elbows, so the two sides of the acceptance comparison use different
+    height formulas and may differ in the last bits.
 
     The arrangements are taken in chunks of a fixed element budget and the
     per-target maxima folded across chunks; a maximum is exact, so the result
     does not depend on the chunking.  Refuses a joint dimension n above 8,
-    since the arrangements number n! (see `_permutation_table`).
+    since the arrangements number n! (see `_permutation_table`), and a
+    spectrum whose Boltzmann weights are all subnormal.
     """
     spec = _as_composite(spec)
     n = spec.dim
     joint = spec.joint_population(p_system)
     table = _permutation_table(n)
+    # every target is at least the heaviest weight (see `_supporting_lines`)
+    if not spec._boltzmann.max() >= np.finfo(float).tiny:
+        raise ValueError("every Boltzmann weight is subnormal; shift the levels toward 0")
     # Curve height of every arrangement at the cumulative weight of the l+1
     # lowest system levels (the largest-weight level set of that size).
     targets = np.cumsum(spec._boltzmann.reshape(spec.d, spec.r).sum(axis=1))
     partial = np.full(targets.size, -np.inf)
     rows = max(1, _BATCH_ELEMENTS // n)
     for start in range(0, len(table), rows):
-        X, Y = _curve_elbows(joint[table[start : start + rows].astype(np.intp)], spec)
-        np.maximum(partial, [np.minimum(_stacked_curve_heights(X, Y, x), 1.0).max()
-                             for x in targets], out=partial)
+        slope, intercept = _supporting_lines(joint[table[start : start + rows].astype(np.intp)], spec)
+        line = np.empty_like(slope)
+        with np.errstate(invalid="ignore"):  # inf * x - inf on an overflowed slope
+            for i, x in enumerate(targets):
+                np.multiply(slope, x, out=line)
+                line += intercept
+                partial[i] = max(partial[i], np.fmin.reduce(line, axis=0).max())
+        del slope, intercept, line  # so that two chunks' lines are never held at once
+    np.minimum(partial, 1.0, out=partial)
     return OracleRound(ground=float(partial[0]), partial_sums=partial)
 
 
 def beta_swap_matrix(i: int, j: int, spectrum) -> np.ndarray:
     """Two-level extremal map: full decay j -> i, excitation i -> j with weight e^{-beta (E_j - E_i)}."""
     d = len(spectrum.levels)
-    if not (0 <= i < j < d):
+    if not (_count(i, "level index i") < _count(j, "level index j") < d):
         raise ValueError(f"need 0 <= i < j < {d}, got i={i}, j={j}")
     levels = spectrum.levels
     x = math.exp(-spectrum.beta * (levels[j] - levels[i]))
@@ -221,7 +243,7 @@ def qudit_ladder_round(p, spectrum) -> np.ndarray:
 def run_ladder_protocol(p0, spectrum, rounds: int) -> ProtocolTrace:
     p = as_population(p0, len(spectrum.levels))
     history = [p]
-    for _ in range(_round_count(rounds)):
+    for _ in range(_count(rounds)):
         p = qudit_ladder_round(p, spectrum)
         history.append(p)
     return ProtocolTrace(np.array(history))
@@ -236,7 +258,7 @@ def _deficit(eps: float) -> float:
 
 def ideal_ground_population(k: int, beta_e: float, p0: float) -> float:
     """Ground population of the qubit full-swap protocol after k rounds."""
-    k = _round_count(k)
+    k = _count(k)
     beta_e = _beta_e(beta_e)
     # zero rounds decay by 1 at any temperature; -0 * inf would make it NaN at beta*E = inf
     decay = math.exp(-k * beta_e) if k else 1.0
@@ -247,7 +269,7 @@ def ladder_ground_population(blocks: int, spectrum, p0: float) -> float:
     """Ground population after `blocks` passes of d-1 ladder rounds each."""
     _ground_population(p0)
     spectrum_omega = spectrum.levels[-1] - spectrum.levels[0]
-    return 1.0 - math.exp(-_round_count(blocks) * spectrum.beta * spectrum_omega) * (1.0 - p0)
+    return 1.0 - math.exp(-_count(blocks) * spectrum.beta * spectrum_omega) * (1.0 - p0)
 
 
 def epsilon_threshold(beta_e: float) -> float:
@@ -272,7 +294,7 @@ def noisy_fixed_point(eps: float, beta_e: float) -> float:
 def noisy_ground_population(k: int, eps: float, beta_e: float, p0: float) -> float:
     """Closed-form ground population after k noisy swap rounds."""
     _ground_population(p0)
-    _round_count(k)
+    _count(k)
     z = 1.0 + math.exp(-_beta_e(beta_e))
     ratio = (1.0 - _deficit(eps)) * z - 1.0
     if 2.0 - (1.0 - eps) * z == 0.0:
@@ -296,7 +318,7 @@ def epsilon_noisy_trace(p0: float, eps: float, spectrum, k: int) -> np.ndarray:
         )
     lam = 1.0 - eps
     x = math.exp(-beta_e)
-    values = np.empty(_round_count(k) + 1)
+    values = np.empty(_count(k) + 1)
     values[0] = p = _ground_population(p0)
     for step in range(1, k + 1):
         p = (1.0 - lam * x) * (1.0 - p) + lam * p
@@ -437,7 +459,7 @@ def ppa_trace(p0, n_ancillas: int, spectrum, rounds: int) -> ProtocolTrace:
     """
     if spectrum.dim != 2:
         raise ValueError("baseline expects a qubit system spectrum")
-    if not 0 <= n_ancillas <= 3:
+    if _count(n_ancillas, "n_ancillas") > 3:
         raise ValueError(f"supported ancilla counts are 0..3, got {n_ancillas}")
     p = as_population(p0, 2)
     tau = gibbs_state(spectrum)
@@ -446,7 +468,7 @@ def ppa_trace(p0, n_ancillas: int, spectrum, rounds: int) -> ProtocolTrace:
         anc = np.kron(anc, tau)
 
     history = [p]
-    for _ in range(_round_count(rounds)):
+    for _ in range(_count(rounds)):
         joint = np.kron(p, anc)
         arranged = np.sort(joint)[::-1]
         p = arranged.reshape(2, -1).sum(axis=1)

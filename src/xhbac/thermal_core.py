@@ -216,10 +216,10 @@ def _ground_population(p: float, lowest: float = 0.0) -> float:
     return p
 
 
-def _round_count(k: int) -> int:
-    """A number of rounds (or blocks of rounds); anything but an integer >= 0 raises ValueError."""
+def _count(k: int, what: str = "round count") -> int:
+    """A count or an index, such as a number of rounds; anything but an integer >= 0 raises ValueError."""
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"round count must be a non-negative integer, got {k!r}")
+        raise ValueError(f"{what} must be a non-negative integer, got {k!r}")
     return k
 
 
@@ -287,13 +287,14 @@ class ThermoCurve:
         return float(self.xs[-1])
 
     def height(self, x: float) -> float:
-        tol = max(BASE_TOLERANCE, 1e-12 * self.partition)
-        if not -tol <= x <= self.partition + tol:  # also rejects NaN
-            raise ValueError(f"x={x} outside curve domain [0, {self.partition}]")
-        return float(np.interp(x, self.xs, self.ys))
+        return float(self.heights([x])[0])
 
     def heights(self, xs) -> np.ndarray:
-        return np.interp(np.asarray(xs, dtype=float), self.xs, self.ys)
+        xs = np.asarray(xs, dtype=float)
+        tol = max(BASE_TOLERANCE, 1e-12 * self.partition)
+        if not np.all((-tol <= xs) & (xs <= self.partition + tol)):  # also rejects NaN
+            raise ValueError(f"x={xs} outside curve domain [0, {self.partition}]")
+        return np.interp(xs, self.xs, self.ys)
 
 
 def _row_elbows(p: list[float], spectrum) -> tuple[list[float], list[float]]:
@@ -329,37 +330,6 @@ def _row_heights(targets, xs: list[float], ys: list[float]) -> list[float]:
         else:
             out.append((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j])
     return out
-
-
-def _curve_elbows(rows: np.ndarray, spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Elbows of the thermo-majorization curves of a (k, d) stack of validated rows.
-
-    Returns (X, Y), each of shape (k, d+1): per row, what `_row_elbows`
-    returns.  Levels with tied keys may come in either order; tied keys have
-    equal slopes, so the curve is the same.
-
-    The stack (the oracle's n! arrangements) is sorted and accumulated
-    level-major, so each step runs once over all k rows: X and Y are
-    transposed views of C-contiguous (d+1, k) arrays, which
-    `_stacked_curve_heights` reads with flat-index gathers.  The rows
-    accumulate with one vector add per level, in the order of a cumsum.
-    """
-    w = spectrum._boltzmann
-    k, d = rows.shape
-    keys = (rows * spectrum._order_scale).T
-    np.negative(keys, out=keys)
-    order = np.argsort(keys, axis=0, kind="stable")  # order[j]: each row's level of rank j
-    del keys
-    elbows = np.empty((2, d + 1, k))  # X and Y, level-major
-    elbows[:, 0] = 0.0
-    elbows[0, 1:] = w[order]
-    order += np.arange(0, k * d, d)  # flat indices into rows
-    elbows[1, 1:] = rows.ravel()[order]
-    steps = elbows[:, 1:]
-    for j in range(1, d):
-        steps[:, j] += steps[:, j - 1]
-    X, Y = elbows
-    return X.T, Y.T
 
 
 def thermo_curve(p, spectrum) -> ThermoCurve:
@@ -432,7 +402,7 @@ def beta_opt_alpha(d: int, r: int = 1) -> np.ndarray:
     the ancilla index descending inside each block), so the extremal map
     pushes as much population as possible toward the system ground state.
     """
-    if d < 2 or r < 1:
+    if _count(d, "d") < 2 or _count(r, "r") < 1:
         raise ValueError(f"need d >= 2 and r >= 1, got d={d}, r={r}")
     return np.array([i * r + (r - 1 - j) for i in range(d) for j in range(r)], dtype=np.intp)
 
@@ -541,13 +511,13 @@ def extremal_points(p, spectrum, dedup_tol: float = 1e-10) -> ExtremalPointSet:
     Every image is read off p's thermo-majorization curve (`_order_images`).
     Images that lie within `dedup_tol` of a kept image are merged into it (see
     `_merge_images`); `dedup_tol` below machine epsilon is refused, since a
-    grid that fine cannot separate populations.  Refuses d above 8, since the
-    orders number d! (see `_permutation_table`).
+    grid that fine cannot separate populations, and so is an infinite one.
+    Refuses d above 8, since the orders number d! (see `_permutation_table`).
     """
     p = _population_row(p, len(spectrum.levels))
     table = _permutation_table(len(p))
-    if not dedup_tol >= np.finfo(float).eps:
-        raise ValueError(f"dedup_tol must be at least machine epsilon, got {dedup_tol}")
+    if not np.finfo(float).eps <= dedup_tol < math.inf:
+        raise ValueError(f"dedup_tol must be finite and at least machine epsilon, got {dedup_tol}")
     points = _merge_images(_order_images(p, spectrum, table), dedup_tol)
     return ExtremalPointSet(points=points, n_orders=len(table), n_distinct=len(points))
 
@@ -570,7 +540,10 @@ def verify_gibbs_stochastic(matrix, spectrum, tol: float = BASE_TOLERANCE) -> Gi
     """Check non-negativity, column sums and Gibbs preservation of a matrix.
 
     The violations propagate NaN, so a matrix with a non-finite entry fails.
+    `tol` must be finite and non-negative.
     """
+    if not 0.0 <= tol < math.inf:  # also rejects NaN
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     M = np.asarray(matrix, dtype=float)
     d = len(spectrum.levels)
     if M.shape != (d, d):

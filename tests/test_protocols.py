@@ -14,6 +14,8 @@ from xhbac import (
     CompositeSpec,
     EnergySpectrum,
     FockTruncation,
+    anharmonic_cooling_sums,
+    anharmonic_level_table,
     as_population,
     asymptotic_upper_bound,
     beta_opt_alpha,
@@ -44,8 +46,8 @@ from xhbac import (
     verify_gibbs_stochastic,
 )
 from xhbac import protocols
-from xhbac.protocols import _stacked_curve_heights
-from xhbac.thermal_core import _curve_elbows, _permutation_table
+from xhbac.protocols import _supporting_lines
+from xhbac.thermal_core import _permutation_table, _row_elbows
 from conftest import random_spectrum, traced_peak_mb
 
 Q = math.exp(-1.0)
@@ -112,35 +114,35 @@ def test_oracle_matches_literal_matrix_enumeration(d, r, rng):
     assert oracle.partial_sums == pytest.approx(literal_partials, abs=1e-12)
 
 
-def test_stacked_curve_heights_match_np_interp(rng):
-    levels = np.sort(rng.uniform(0.0, 2.5, 5))
-    levels[2] = levels[1]  # a degenerate pair
+def test_supporting_lines_envelope_matches_np_interp(rng):
+    levels = np.sort(rng.uniform(0.0, 2.5, 6))
+    levels[0] = 0.0
+    levels[3] = levels[2]  # a degenerate pair
     spectrum = EnergySpectrum(tuple(levels), 0.8)
-    rows = rng.dirichlet(np.ones(5), size=40)
+    rows = rng.dirichlet(np.ones(6), size=40)
     rows[0] = gibbs_state(spectrum)
-    X, Y = _curve_elbows(rows, spectrum)
-    for x in (0.0, 0.3, X[0, 2], X[0, -1], X[0, -1] * (1 + 1e-15), -1e-300):
-        single = [np.interp(x, X[i], Y[i]) for i in range(len(rows))]
-        assert _stacked_curve_heights(X, Y, x) == pytest.approx(single, abs=1e-15)
+    rows[1] = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    rows[2] = [0.0, 0.5, 0.0, 0.0, 0.5, 0.0]
+    slope, intercept = _supporting_lines(rows, spectrum)
+    assert slope.shape == intercept.shape == (6, 40)
+    elbows = [_row_elbows(row.tolist(), spectrum) for row in rows]
+    partition = elbows[0][0][-1]
+    xs = [0.0, 0.3, 1.1, partition, partition * (1 + 1e-15)] + [x for X, _ in elbows for x in X]
+    for x in xs:
+        envelope = np.minimum(np.min(slope * x + intercept, axis=0), 1.0)
+        assert envelope == pytest.approx([np.interp(x, X, Y) for X, Y in elbows], abs=1e-15)
 
 
 def _row_major_oracle(p, spec):
-    """Oracle partial sums from row-major (n!, n+1) elbows with per-row gathers."""
+    """Oracle partial sums from row-major (n!, n) supporting lines, one envelope per target."""
     rows = spec.joint_population(p)[np.array(list(itertools.permutations(range(spec.dim))))]
     order = np.argsort(-(rows * spec._order_scale), axis=1, kind="stable")
-    X = np.zeros((len(rows), spec.dim + 1))
-    Y = np.zeros_like(X)
-    np.cumsum(spec._boltzmann[order], axis=1, out=X[:, 1:])
-    np.cumsum(np.take_along_axis(rows, order, axis=1), axis=1, out=Y[:, 1:])
-    partial = []
-    for x in np.cumsum(spec._boltzmann.reshape(spec.d, spec.r).sum(axis=1)):
-        k = np.sum(X[:, 1:-1] < x, axis=1, keepdims=True)
-        x0, x1 = np.take_along_axis(X, k, 1), np.take_along_axis(X, k + 1, 1)
-        y0, y1 = np.take_along_axis(Y, k, 1), np.take_along_axis(Y, k + 1, 1)
-        width = x1 - x0
-        t = np.divide(x - x0, width, out=np.ones_like(width), where=width > 0.0)
-        partial.append(np.minimum((y0 + (y1 - y0) * np.clip(t, 0.0, 1.0))[:, 0], 1.0).max())
-    return np.array(partial)
+    weight = spec._boltzmann[order]
+    pop = np.take_along_axis(rows, order, axis=1)
+    slope = pop / weight
+    intercept = np.cumsum(pop, axis=1) - slope * np.cumsum(weight, axis=1)
+    return np.array([min(np.min(slope * x + intercept, axis=1).max(), 1.0)
+                     for x in np.cumsum(spec._boltzmann.reshape(spec.d, spec.r).sum(axis=1))])
 
 
 @pytest.mark.parametrize("d,r", [(d, r) for d in range(2, 9) for r in range(1, 5) if d * r <= 8])
@@ -313,7 +315,27 @@ def test_oracle_memory_is_bounded_at_eight_levels(rng):
     spec = CompositeSpec(system=random_spectrum(rng, 8))
     p = rng.dirichlet(np.ones(8))
     _permutation_table(8)  # cached across calls; all 8! rows in one chunk peak at 12.9 MB
-    assert traced_peak_mb(lambda: oracle_optimal_round(p, spec)) < 2.5
+    # one chunk's arrays at a time peak at about 1.0 MB; holding two chunks' took 1.75-1.9 MB
+    assert traced_peak_mb(lambda: oracle_optimal_round(p, spec)) < 1.5
+
+
+@pytest.mark.parametrize("levels", [(0.0, 1.0), (0.0, 1.0, 1.0)])
+def test_oracle_on_a_cold_bath_skips_overflowed_slopes(levels):
+    # e^{-740} is subnormal, so a populated excited level's slope p/w overflows to inf
+    spec = CompositeSpec(system=EnergySpectrum(levels, 740.0))
+    d = len(levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in (np.full(d, 1.0 / d), np.eye(d)[d - 1]):
+            oracle = oracle_optimal_round(p, spec)
+            assert oracle.ground == 1.0 and oracle.partial_sums.tolist() == [1.0] * d
+
+
+def test_oracle_refuses_a_spectrum_without_a_normal_weight():
+    # every weight subnormal: all slopes overflow, and no line is left to read a height from
+    spec = CompositeSpec(system=EnergySpectrum((740.0, 741.0), 1.0))
+    with pytest.raises(ValueError, match="subnormal"):
+        oracle_optimal_round([0.5, 0.5], spec)
 
 
 def test_oracle_dimension_guard():
@@ -382,6 +404,10 @@ def test_beta_swap_matrix_examples():
         beta_swap_matrix(1, 1, qubit)
     with pytest.raises(ValueError):
         beta_swap_matrix(1, 0, qubit)
+    # bool indices would act as masks, and float ones fail inside numpy's indexing
+    for i, j in ((False, True), (0.5, 1), (0, 1.0)):
+        with pytest.raises(ValueError, match="level index"):
+            beta_swap_matrix(i, j, qubit)
 
 
 def test_beta_swap_is_gibbs_stochastic(rng):
@@ -705,6 +731,22 @@ def test_negative_or_nan_round_counts_are_refused(name, k):
 
 def test_numpy_integer_round_counts_are_accepted():
     assert ideal_ground_population(np.int64(3), 1.0, 0.5) == ideal_ground_population(3, 1.0, 0.5)
+
+
+INTEGER_ARGUMENT_CALLS = {
+    "anharmonic_cooling_sums k": lambda v: anharmonic_cooling_sums(0.05, _TRUNC, _QUBIT, v),
+    "anharmonic_level_table n_max": lambda v: anharmonic_level_table(1.0, 0.05, v),
+    "ppa_trace n_ancillas": lambda v: ppa_trace([0.5, 0.5], v, _QUBIT, 2),
+    "beta_opt_alpha d": lambda v: beta_opt_alpha(v, 1),
+    "beta_opt_alpha r": lambda v: beta_opt_alpha(2, v),
+}
+
+
+@pytest.mark.parametrize("v", [2.5, 1.5, True, math.nan])
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENT_CALLS))
+def test_non_integer_counts_are_refused(name, v):
+    with pytest.raises(ValueError, match=f"{name.split()[-1]} must be a non-negative integer"):
+        INTEGER_ARGUMENT_CALLS[name](v)
 
 
 EPSILON_CALLS = {

@@ -21,8 +21,8 @@ from xhbac import (
     thermo_majorizes,
     verify_gibbs_stochastic,
 )
-from xhbac.thermal_core import (BASE_TOLERANCE, _curve_elbows, _merge_images, _permutation_table,
-                                _row_elbows, _row_heights)
+from xhbac.thermal_core import (BASE_TOLERANCE, _merge_images, _permutation_table, _row_elbows,
+                                _row_heights)
 from conftest import random_spectrum, traced_peak_mb
 
 Q = math.exp(-1.0)
@@ -174,10 +174,13 @@ def test_curve_height_examples():
     # midpoint of a straight segment is the mean of its endpoint heights
     x_mid = (curve.xs[0] + curve.xs[1]) / 2.0
     assert curve.height(x_mid) == pytest.approx((curve.ys[0] + curve.ys[1]) / 2.0)
-    with pytest.raises(ValueError):
-        curve.height(curve.partition + 1.0)
-    with pytest.raises(ValueError):
-        curve.height(-1.0)
+    assert curve.heights([0.0, x_mid, curve.partition]).tolist() == [
+        curve.height(0.0), curve.height(x_mid), curve.height(curve.partition)]
+    for bad in (curve.partition + 1.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="domain"):
+            curve.height(bad)
+        with pytest.raises(ValueError, match="domain"):
+            curve.heights([0.5, bad])
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 0.0],
@@ -193,24 +196,6 @@ def test_non_finite_populations_are_rejected(bad):
         thermo_majorizes(bad, [0.5, 0.5], spectrum)
     with pytest.raises(ValueError):
         thermo_majorizes([0.5, 0.5], bad, spectrum)
-
-
-@pytest.mark.parametrize("k", [3, 6, 7, 40])
-def test_stacked_elbows_equal_row_by_row_calls(k, rng):
-    # the stack adds one level at a time over all rows, the row kernel one float at a time
-    levels = np.sort(rng.uniform(0.0, 2.5, 6))
-    levels[0] = 0.0
-    levels[3] = levels[2]  # a degenerate pair
-    spectrum = EnergySpectrum(tuple(levels), 0.8)
-    rows = rng.dirichlet(np.ones(6), size=k)
-    rows[0] = gibbs_state(spectrum)
-    rows[1] = [0.0, 0.5, 0.0, 0.0, 0.5, 0.0]
-    rows[2] = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-    X, Y = _curve_elbows(rows, spectrum)
-    assert X.shape == Y.shape == (k, 7)
-    for row, x, y in zip(rows, X, Y):
-        x1, y1 = _row_elbows(row.tolist(), spectrum)
-        assert x.tolist() == x1 and y.tolist() == y1
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -367,11 +352,16 @@ def test_row_heights_equal_np_interp_exactly(rng):
     assert _row_heights(targets, xs, ys) == np.interp(targets, xs, ys).tolist()
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1e-9, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, -1e-9, -1.0, math.inf])
 def test_bad_explicit_tolerances_are_rejected(bad):
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     with pytest.raises(ValueError):
         thermo_majorizes([0.7, 0.3], [0.6, 0.4], spectrum, atol=bad)
+    with pytest.raises(ValueError):
+        verify_gibbs_stochastic(np.eye(2), spectrum, tol=bad)
+    # an infinite dedup_tol merged this p's 5 distinct images into one
+    with pytest.raises(ValueError):
+        extremal_points([0.2, 0.5, 0.3], EnergySpectrum((0.0, 0.7, 1.5), 1.0), dedup_tol=bad)
 
 
 def test_infinite_temperature_reduces_to_classical_majorization(rng):
