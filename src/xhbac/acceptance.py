@@ -158,8 +158,7 @@ def criterion_beta_permutation_validity(seed: int = 0):
         worst_check = max(worst_check, check.worst_violation)
         image = matrix @ p
         curve = thermo_curve(p, spectrum)
-        weights = np.exp(-spectrum.beta * np.asarray(spectrum.levels))
-        xs = np.cumsum(weights[alpha])
+        xs = np.cumsum(spectrum._boltzmann[alpha])
         touch = np.max(np.abs(np.cumsum(image[alpha]) - curve.heights(xs)))
         worst_touch = max(worst_touch, float(touch))
     ok = worst_check <= 1e-12 and worst_touch <= 1e-10

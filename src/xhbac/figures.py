@@ -37,7 +37,7 @@ from .bosonic_sim import (
 )
 from .config import ExperimentConfig
 from .protocols import noisy_ground_population, ppa_trace
-from .results import ResultTable
+from .results import ResultTable, format_cell
 from .thermal_core import EnergySpectrum, gibbs_state
 
 
@@ -73,7 +73,7 @@ def _fig3(config: ExperimentConfig) -> ResultTable:
         spectrum = _qubit_spectrum(config, beta)
         beta_e = beta * spectrum.gap
         trunc = _truncation(config, beta_e, rounds)
-        diagnostics[f"{beta_e:g}"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
+        diagnostics[format_cell(beta_e)] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
         p0 = _initial_ground(config, spectrum)
         best = optimize_interaction_time(spectrum, config.s_lo, config.s_hi, trunc,
                                          grid_step=config.s_grid)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .thermal_core import (
     _BATCH_ELEMENTS,
+    _SLOPE_SCALE,
     CompositeSpec,
     EnergySpectrum,
     _beta_e,
@@ -132,25 +133,22 @@ class OracleRound:
 def _supporting_lines(rows: np.ndarray, spec) -> tuple[np.ndarray, np.ndarray]:
     """Lines through the segments of the curves of a (k, n) stack of validated rows.
 
-    Returns (slope, intercept), each of shape (n, k): the j-th segment of row
-    i in beta-order has slope p/w and its line passes through the elbow where
-    the segment ends.  A concave piecewise-linear curve lies on or below the
-    line of each of its segments, so its height at x is the least of them.
-    A slope overflows to inf where a subnormal weight sits beside a nonzero
-    population.  Such segments come first in beta-order and end before
-    1/DBL_MAX, so at any x of at least the smallest normal float their lines
-    lie above the curve; the caller skips the NaN (inf * x - inf) they give.
+    Returns (slope, intercept), each of shape (n, k), on abscissae scaled by
+    `_SLOPE_SCALE`: the j-th segment of row i in beta-order has slope
+    p / (w * _SLOPE_SCALE), its beta-order key, and its line passes through
+    the elbow where the segment ends.  A concave piecewise-linear curve lies
+    on or below the line of each of its segments, so its height at x is the
+    least of them.
     """
-    keys = rows * spec._order_scale
-    np.negative(keys, out=keys)
+    w = spec._boltzmann * _SLOPE_SCALE
+    keys = np.divide(rows, -w)  # minus the beta-order keys
     order = np.argsort(keys.T, axis=0, kind="stable")  # order[j]: each row's level of rank j
     del keys
-    weight = spec._boltzmann[order]
+    weight = w[order]
     order += np.arange(0, rows.size, rows.shape[1])  # flat indices into rows
     pop = rows.ravel()[order]
     del order
-    with np.errstate(over="ignore"):
-        slope = pop / weight
+    slope = pop / weight
     for j in range(1, len(pop)):  # elbows, in a cumsum's order; np.cumsum(axis=0) is ~8x slower
         weight[j] += weight[j - 1]
         pop[j] += pop[j - 1]
@@ -176,29 +174,25 @@ def oracle_optimal_round(p_system, spec) -> OracleRound:
     The arrangements are taken in chunks of a fixed element budget and the
     per-target maxima folded across chunks; a maximum is exact, so the result
     does not depend on the chunking.  Refuses a joint dimension n above 8,
-    since the arrangements number n! (see `_permutation_table`), and a
-    spectrum whose Boltzmann weights are all subnormal.
+    since the arrangements number n! (see `_permutation_table`).
     """
     spec = _as_composite(spec)
     n = spec.dim
     joint = spec.joint_population(p_system)
     table = _permutation_table(n)
-    # every target is at least the heaviest weight (see `_supporting_lines`)
-    if not spec._boltzmann.max() >= np.finfo(float).tiny:
-        raise ValueError("every Boltzmann weight is subnormal; shift the levels toward 0")
     # Curve height of every arrangement at the cumulative weight of the l+1
     # lowest system levels (the largest-weight level set of that size).
-    targets = np.cumsum(spec._boltzmann.reshape(spec.d, spec.r).sum(axis=1))
+    targets = np.cumsum(spec._boltzmann.reshape(spec.d, spec.r).sum(axis=1)) * _SLOPE_SCALE
     partial = np.full(targets.size, -np.inf)
     rows = max(1, _BATCH_ELEMENTS // n)
     for start in range(0, len(table), rows):
         slope, intercept = _supporting_lines(joint[table[start : start + rows].astype(np.intp)], spec)
         line = np.empty_like(slope)
-        with np.errstate(invalid="ignore"):  # inf * x - inf on an overflowed slope
+        with np.errstate(over="ignore"):  # the steep line of a subnormal weight; never the least
             for i, x in enumerate(targets):
                 np.multiply(slope, x, out=line)
                 line += intercept
-                partial[i] = max(partial[i], np.fmin.reduce(line, axis=0).max())
+                partial[i] = max(partial[i], line.min(axis=0).max())
         del slope, intercept, line  # so that two chunks' lines are never held at once
     np.minimum(partial, 1.0, out=partial)
     return OracleRound(ground=float(partial[0]), partial_sums=partial)

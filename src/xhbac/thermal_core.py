@@ -44,37 +44,33 @@ CURVE_RTOL = 1e-9
 #: Largest temporary array, in elements, that the grid scans and the exhaustive
 #: oracle build at once (0.25 MB of float64); larger inputs stream in batches.
 _BATCH_ELEMENTS = 1 << 15
+#: Curves are read on abscissae times 2^52, where no slope overflows, not even
+#: beside a subnormal weight; the power of two keeps every bit wherever the
+#: scaled slope is a normal float.  Level i's beta-order key is its segment's
+#: scaled slope p_i / (w_i * _SLOPE_SCALE).
+_SLOPE_SCALE = 2.0**52
 
 
 class _BoltzmannCache:
-    """Boltzmann weights, beta-order scale and energy ranks, computed once per (frozen) spectrum."""
+    """Boltzmann weights and energy ranks, computed once per (frozen) spectrum."""
 
     @cached_property
     def _boltzmann(self) -> np.ndarray:
-        """Unnormalized weights e^{-beta E_i}; must stay strictly positive."""
-        w = np.exp(-self.beta * np.asarray(self.levels, dtype=float))
-        if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
-            raise ValueError("Boltzmann weight under/overflow; beta*E spread too large")
+        """Weights e^{-beta (E_i - E_min)}, the unnormalized `gibbs_state`: the largest is 1.
+
+        Results read them only up to a common factor, so they depend on level
+        differences alone.  A weight that underflows to 0 is refused.
+        """
+        w = _relative_weights(self)
+        if not np.all(w > 0.0):  # also rejects NaN
+            raise ValueError("Boltzmann weight underflows to 0; beta*E spread too large")
         w.flags.writeable = False
         return w
-
-    @cached_property
-    def _order_scale(self) -> np.ndarray:
-        """e^{beta (E_i - E_max)}: p_i times this is the beta-order key of level i."""
-        e = np.asarray(self.levels, dtype=float)
-        scale = np.exp(self.beta * (e - e.max()))
-        scale.flags.writeable = False
-        return scale
 
     @cached_property
     def _boltzmann_floats(self) -> tuple[float, ...]:
         """`_boltzmann` as plain floats, for the single-row curve kernel."""
         return tuple(self._boltzmann.tolist())
-
-    @cached_property
-    def _order_scale_floats(self) -> tuple[float, ...]:
-        """`_order_scale` as plain floats, for the single-row curve kernel."""
-        return tuple(self._order_scale.tolist())
 
     @cached_property
     def _energy_rank(self) -> tuple[int, ...]:
@@ -239,24 +235,29 @@ def as_population(p, dim: int | None = None) -> np.ndarray:
     return np.array(_population_row(p, dim))
 
 
-def gibbs_state(spectrum) -> np.ndarray:
-    """Normalized thermal populations for the given spectrum."""
+def _relative_weights(spectrum) -> np.ndarray:
+    """e^{-beta (E_i - E_min)}: a weight that underflows is 0, never an error."""
     e = np.asarray(spectrum.levels, dtype=float)
-    w = np.exp(-spectrum.beta * (e - e.min()))
+    return np.exp(-spectrum.beta * (e - e.min()))
+
+
+def gibbs_state(spectrum) -> np.ndarray:
+    """Normalized thermal populations for the given spectrum, at any temperature."""
+    w = _relative_weights(spectrum)
     return w / w.sum()
 
 
 def beta_order(p, spectrum) -> np.ndarray:
-    """Permutation sorting p_i * e^{beta E_i} into non-increasing order.
+    """Permutation sorting the slopes p_i / w_i into non-increasing order.
 
-    Returned as position -> level indices.  Keys within a relative 1e-12 of
-    each other count as tied and go to the lower original index; without the
-    tolerance an exactly thermal state would pick up a noise-driven order,
-    since e^{-x} e^{x} does not round-trip in floating point.  Tied keys have
-    equal curve slopes, so the choice never changes the curve.
+    Returned as position -> level indices.  Keys (see `_SLOPE_SCALE`) within a
+    relative 1e-12 of each other count as tied and go to the lower original
+    index; without the tolerance an exactly thermal state would pick up a
+    noise-driven order.  Tied keys have equal slopes, up to that tolerance,
+    so the choice never changes the curve beyond it.
     """
     p = as_population(p, len(spectrum.levels))
-    keys = p * spectrum._order_scale
+    keys = p / (spectrum._boltzmann * _SLOPE_SCALE)
     order = np.argsort(-keys, kind="stable")
     ranked = keys[order]
     out = np.empty_like(order)
@@ -277,9 +278,9 @@ def _as_permutation(perm, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThermoCurve:
-    """Piecewise-linear concave curve of cumulative Gibbs weight vs cumulative population."""
+    """Piecewise-linear concave curve: cumulative weight e^{-beta (E_i - E_min)} vs population."""
 
-    xs: np.ndarray  # d+1 strictly increasing abscissae, from 0 to the partition sum
+    xs: np.ndarray  # d+1 increasing abscissae, from 0 to the partition sum
     ys: np.ndarray  # d+1 non-decreasing ordinates, from 0 to 1
 
     @property
@@ -291,10 +292,10 @@ class ThermoCurve:
 
     def heights(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        tol = max(BASE_TOLERANCE, 1e-12 * self.partition)
+        tol = 1e-12 * self.partition
         if not np.all((-tol <= xs) & (xs <= self.partition + tol)):  # also rejects NaN
             raise ValueError(f"x={xs} outside curve domain [0, {self.partition}]")
-        return np.interp(xs, self.xs, self.ys)
+        return np.interp(xs * _SLOPE_SCALE, self.xs * _SLOPE_SCALE, self.ys)
 
 
 def _row_elbows(p: list[float], spectrum) -> tuple[list[float], list[float]]:
@@ -302,12 +303,12 @@ def _row_elbows(p: list[float], spectrum) -> tuple[list[float], list[float]]:
 
     xs and ys are the cumulative Boltzmann weight and population in beta-order,
     from 0.  On rows this short, a Python loop beats numpy's per-call cost and
-    gives the same bits: a stable sort on the same keys, and each elbow adds
-    to the one before it, in `np.cumsum`'s order.
+    gives the same bits: a stable sort on the same keys (see `_SLOPE_SCALE`),
+    and each elbow adds to the one before it, in `np.cumsum`'s order.
     """
-    w, scale = spectrum._boltzmann_floats, spectrum._order_scale_floats
+    w = spectrum._boltzmann_floats
     xs, ys = [0.0], [0.0]
-    for i in sorted(range(len(p)), key=lambda i: -(p[i] * scale[i])):
+    for i in sorted(range(len(p)), key=lambda i: -p[i] / (w[i] * _SLOPE_SCALE)):
         xs.append(xs[-1] + w[i])
         ys.append(ys[-1] + p[i])
     return xs, ys
@@ -316,8 +317,9 @@ def _row_elbows(p: list[float], spectrum) -> tuple[list[float], list[float]]:
 def _row_heights(targets, xs: list[float], ys: list[float]) -> list[float]:
     """`np.interp(targets, xs, ys)` for ascending targets >= xs[0], in one merge pass.
 
-    Same formula and rules: a target on an elbow (the last of a run of equal
-    abscissae) or past the last one takes that elbow's height.
+    Same formula and rules, on abscissae scaled by `_SLOPE_SCALE`: a target on
+    an elbow (the last of a run of equal abscissae) or past the last one takes
+    that elbow's height.
     """
     out = []
     last = len(xs) - 1
@@ -328,7 +330,8 @@ def _row_heights(targets, xs: list[float], ys: list[float]) -> list[float]:
         if j == last or xs[j] == x:
             out.append(ys[j])
         else:
-            out.append((ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j]) * (x - xs[j]) + ys[j])
+            run, offset = (xs[j + 1] - xs[j]) * _SLOPE_SCALE, (x - xs[j]) * _SLOPE_SCALE
+            out.append((ys[j + 1] - ys[j]) / run * offset + ys[j])
     return out
 
 
@@ -365,20 +368,19 @@ def beta_permutation(pi, alpha, spectrum) -> np.ndarray:
     (the columns) and once in alpha-order (the rows), both ending at one
     shared partition sum; entry (m, k) is the overlap of row m's interval
     with column k's, divided by column k's length.  A weight below the
-    float64 resolution of the running sum leaves its column without length;
-    such a spectrum, like one whose sum overflows, is refused with
-    ValueError.  The result is returned in the natural level basis.
+    float64 resolution of the running sum (at most d) leaves its column
+    without length; such a spectrum is refused with ValueError.  The result
+    is returned in the natural level basis.
     """
     w = spectrum._boltzmann
     d = w.size
     pi = _as_permutation(pi, d)
     alpha = _as_permutation(alpha, d)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum is refused below
-        cols = np.concatenate(([0.0], np.cumsum(w[pi])))
-        rows = np.concatenate(([0.0], np.cumsum(w[alpha])))
-        length = np.diff(cols)
+    cols = np.concatenate(([0.0], np.cumsum(w[pi])))
+    rows = np.concatenate(([0.0], np.cumsum(w[alpha])))
+    length = np.diff(cols)
     rows[-1] = cols[-1]
-    if not np.all((0.0 < length) & (length < math.inf)):
+    if not np.all(length > 0.0):
         raise ValueError("Boltzmann weights do not fit one float64 partition sum; beta*E spread too large")
     overlap = np.minimum.outer(rows[1:], cols[1:]) - np.maximum.outer(rows[:-1], cols[:-1])
     P = np.empty((d, d))
@@ -499,7 +501,8 @@ def _order_images(p: np.ndarray, spectrum, table: np.ndarray) -> np.ndarray:
     """
     perms = table.astype(np.intp)
     X, Y = _row_elbows(p, spectrum)
-    heights = np.interp(np.cumsum(spectrum._boltzmann[perms], axis=1), X, Y)
+    targets = np.cumsum((spectrum._boltzmann * _SLOPE_SCALE)[perms], axis=1)
+    heights = np.interp(targets, np.multiply(X, _SLOPE_SCALE), Y)
     images = np.empty(perms.shape)
     np.put_along_axis(images, perms, np.diff(heights, axis=1, prepend=0.0), axis=1)
     return images

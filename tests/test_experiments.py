@@ -162,6 +162,13 @@ def test_fig3_is_deterministic_and_reproducible_from_its_echo():
     assert third.body_csv() == first.body_csv()
 
 
+def test_fig3_keys_its_truncation_diagnostics_like_its_body():
+    config = ExperimentConfig.from_dict(dict(FAST_FIG3, beta_grid=[1.0000001, 1.0000002]))
+    table = run_figure("fig3", config)
+    blocks = {format_cell(row[0]) for row in table.rows}
+    assert len(blocks) == 2 and set(table.metadata["truncation"]) == blocks
+
+
 def test_series_looped_figures_repeat_their_bytes():
     config = ExperimentConfig.from_dict({"n_atoms": 3, "rounds": 4,
                                          "t_th_grid": [math.inf, 1.0, 0.0]})
@@ -253,6 +260,29 @@ def test_cli_query_optimal_round_with_ancilla(capsys):
     assert sum(values) == pytest.approx(1.0, abs=1e-9)
     # an ancilla can only help relative to the bare qubit round
     assert values[0] >= 1.0 - 0.5 * math.exp(-1) - 1e-12
+
+
+@pytest.mark.parametrize("far,near", [
+    (["--E", "0,1", "--ancE", "740,741"], ["--E", "0,1", "--ancE", "0,1"]),
+    (["--E", "-720,-708"], ["--E", "0,12"]),
+])
+def test_cli_query_optimal_round_reads_only_level_differences(far, near, capsys):
+    bodies = []
+    for levels in (far, near):
+        assert main(["query", "optimal-round", "--p", "0.5,0.5", *levels]) == 0
+        bodies.append(capsys.readouterr().out.splitlines()[1:])
+    assert bodies[0] == bodies[1]
+
+
+def test_cli_curve_height_abscissa_is_relative_to_the_lowest_level(capsys):
+    # x = 1 is a sum of weights e^{-beta (E_i - E_min)}: on levels (5, 6) it lies inside
+    # the curve, one unit past the elbow at e^{-1}, exactly as on levels (0, 1)
+    bodies = []
+    for levels in ("5,6", "0,1"):
+        assert main(["query", "curve-height", "--E", levels, "--p", "0.7,0.3", "--x", "1"]) == 0
+        bodies.append(capsys.readouterr().out.splitlines()[1:])
+    assert bodies[0] == bodies[1]
+    assert float(bodies[0][1]) == pytest.approx(0.3 + 0.7 * (1.0 - math.exp(-1.0)), abs=1e-10)
 
 
 def test_cli_usage_errors(capsys, tmp_path):

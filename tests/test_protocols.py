@@ -24,6 +24,7 @@ from xhbac import (
     beta_swap_matrix,
     epsilon_noisy_trace,
     epsilon_threshold,
+    extremal_points,
     gibbs_state,
     ideal_ground_population,
     jc_reuse_trace,
@@ -41,13 +42,15 @@ from xhbac import (
     run_ladder_protocol,
     run_optimal_protocol,
     thermal_contact_determinant,
+    thermo_curve,
+    thermo_majorizes,
     to_determinant_scan,
     upper_bound_G,
     verify_gibbs_stochastic,
 )
 from xhbac import protocols
 from xhbac.protocols import _supporting_lines
-from xhbac.thermal_core import _permutation_table, _row_elbows
+from xhbac.thermal_core import _SLOPE_SCALE, _permutation_table, _row_elbows
 from conftest import random_spectrum, traced_peak_mb
 
 Q = math.exp(-1.0)
@@ -129,14 +132,14 @@ def test_supporting_lines_envelope_matches_np_interp(rng):
     partition = elbows[0][0][-1]
     xs = [0.0, 0.3, 1.1, partition, partition * (1 + 1e-15)] + [x for X, _ in elbows for x in X]
     for x in xs:
-        envelope = np.minimum(np.min(slope * x + intercept, axis=0), 1.0)
+        envelope = np.minimum(np.min(slope * (x * _SLOPE_SCALE) + intercept, axis=0), 1.0)
         assert envelope == pytest.approx([np.interp(x, X, Y) for X, Y in elbows], abs=1e-15)
 
 
 def _row_major_oracle(p, spec):
     """Oracle partial sums from row-major (n!, n) supporting lines, one envelope per target."""
     rows = spec.joint_population(p)[np.array(list(itertools.permutations(range(spec.dim))))]
-    order = np.argsort(-(rows * spec._order_scale), axis=1, kind="stable")
+    order = np.argsort(-(rows / spec._boltzmann), axis=1, kind="stable")
     weight = spec._boltzmann[order]
     pop = np.take_along_axis(rows, order, axis=1)
     slope = pop / weight
@@ -199,7 +202,7 @@ def _numpy_optimal_round(p, spec):
     joint = spec.joint_population(p)
     active = np.empty_like(joint)
     active[np.argsort(np.asarray(spec.levels), kind="stable")] = np.sort(joint)
-    order = np.argsort(-(active * spec._order_scale), kind="stable")
+    order = np.argsort(-(active / spec._boltzmann), kind="stable")
     X = np.zeros(spec.dim + 1)
     Y = np.zeros_like(X)
     np.cumsum(spec._boltzmann[order], out=X[1:])
@@ -321,7 +324,7 @@ def test_oracle_memory_is_bounded_at_eight_levels(rng):
 
 @pytest.mark.parametrize("levels", [(0.0, 1.0), (0.0, 1.0, 1.0)])
 def test_oracle_on_a_cold_bath_skips_overflowed_slopes(levels):
-    # e^{-740} is subnormal, so a populated excited level's slope p/w overflows to inf
+    # e^{-740} is subnormal: a populated excited level's line is steep enough to overflow
     spec = CompositeSpec(system=EnergySpectrum(levels, 740.0))
     d = len(levels)
     with warnings.catch_warnings():
@@ -331,11 +334,63 @@ def test_oracle_on_a_cold_bath_skips_overflowed_slopes(levels):
             assert oracle.ground == 1.0 and oracle.partial_sums.tolist() == [1.0] * d
 
 
-def test_oracle_refuses_a_spectrum_without_a_normal_weight():
-    # every weight subnormal: all slopes overflow, and no line is left to read a height from
-    spec = CompositeSpec(system=EnergySpectrum((740.0, 741.0), 1.0))
-    with pytest.raises(ValueError, match="subnormal"):
-        oracle_optimal_round([0.5, 0.5], spec)
+def test_oracle_and_round_on_levels_far_above_zero_equal_those_on_levels_from_zero():
+    # e^{-740} is subnormal; weights taken from the lowest level read only the gap
+    far = CompositeSpec(system=EnergySpectrum((740.0, 741.0), 1.0))
+    near = CompositeSpec(system=EnergySpectrum((0.0, 1.0), 1.0))
+    want = oracle_optimal_round([0.5, 0.5], near)
+    got = oracle_optimal_round([0.5, 0.5], far)
+    assert got.ground == want.ground and got.partial_sums.tolist() == want.partial_sums.tolist()
+    assert optimal_round([0.5, 0.5], far).tolist() == optimal_round([0.5, 0.5], near).tolist()
+
+
+@st.composite
+def shifted_specs(draw):
+    """A spec on a 1/8 grid in [0, 20], its copy shifted by whole offsets, a seed and a kind of p.
+
+    Every shifted level, joint level and level difference is exact in float64.
+    The joint dimension stays at most 6 and the system's at most 5.
+    """
+    d = draw(st.integers(2, 5))
+    r = draw(st.integers(1, 6 // d))
+    beta = draw(st.floats(0.05, 4.0))
+
+    def levels(n):
+        return sorted(draw(st.lists(st.integers(0, 160), min_size=n, max_size=n)))
+
+    system, ancilla = levels(d), levels(r) if r > 1 else None
+    specs = []
+    for c, c_anc in ((0, 0), (draw(st.integers(-750, 750)), draw(st.integers(-750, 750)))):
+        anc = None if ancilla is None else EnergySpectrum(tuple(a / 8 + c_anc for a in ancilla), beta)
+        specs.append(CompositeSpec(EnergySpectrum(tuple(e / 8 + c for e in system), beta), anc))
+    return specs, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(["random", "thermal", "top"]))
+
+
+def _level_difference_outcome(spec, p, q, alpha):
+    """Every thermal-core and round result on p (and the pair p, q), as comparable bytes."""
+    system = spec.system
+    try:
+        matrix = beta_permutation(beta_order(p, system), alpha, system).tobytes()
+    except ValueError:  # a weight below the partition sum's resolution
+        matrix = None
+    curve = thermo_curve(p, system)
+    points = extremal_points(p, system)
+    return [optimal_round(p, spec).tobytes(), oracle_optimal_round(p, spec).partial_sums.tobytes(),
+            curve.xs.tobytes(), curve.ys.tobytes(), beta_order(p, system).tobytes(), matrix,
+            points.points.tobytes(), points.n_distinct,
+            thermo_majorizes(p, q, system), thermo_majorizes(q, p, system)]
+
+
+@given(shifted_specs())
+@settings(max_examples=100, deadline=None)
+def test_results_depend_only_on_level_differences(case):
+    (spec, shifted), seed, kind = case
+    rng = np.random.default_rng(seed)
+    d = spec.d
+    p = {"thermal": gibbs_state(spec.system), "top": np.eye(d)[d - 1]}.get(
+        kind, rng.dirichlet(np.ones(d)))
+    q, alpha = rng.dirichlet(np.ones(d)), rng.permutation(d)
+    assert _level_difference_outcome(spec, p, q, alpha) == _level_difference_outcome(shifted, p, q, alpha)
 
 
 def test_oracle_dimension_guard():

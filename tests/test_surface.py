@@ -4,6 +4,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,22 @@ def test_module_caches_are_the_declared_ones():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert caches == LRU_CACHES
+
+
+# Per-spectrum cached properties, the weights among them; adding or dropping one is an edit here.
+SPECTRUM_CACHES = {
+    "EnergySpectrum": {"_boltzmann", "_boltzmann_floats", "_energy_rank"},
+    "CompositeSpec": {"_boltzmann", "_boltzmann_floats", "_energy_rank", "levels",
+                      "_ancilla_start", "_cooling_rank", "_cooling_targets"},
+}
+
+
+def test_spectrum_caches_are_the_declared_ones():
+    for name, names in SPECTRUM_CACHES.items():
+        cls = getattr(xhbac, name)
+        found = {attr for klass in cls.__mro__ for attr, value in vars(klass).items()
+                 if isinstance(value, cached_property)}
+        assert found == names, name
 
 
 def test_main_leaves_the_environment_alone(tmp_path, capsys):

@@ -303,7 +303,7 @@ def test_majorization_agrees_with_the_two_curve_reference(ps, seed, kind):
 def _numpy_majorizes(p, q, spectrum, rtol=1e-9, atol=1e-12):
     """The numpy pair check: both curves as one stack, heights by np.interp."""
     pair = np.maximum(np.array((p, q), dtype=float), 0.0)
-    order = np.argsort(-(pair * spectrum._order_scale), axis=1, kind="stable")
+    order = np.argsort(-(pair / spectrum._boltzmann), axis=1, kind="stable")
     X = np.zeros((2, pair.shape[1] + 1))
     Y = np.zeros_like(X)
     np.cumsum(spectrum._boltzmann[order], axis=1, out=X[:, 1:])
@@ -501,9 +501,12 @@ def test_beta_permutation_refuses_a_weight_below_the_partition_sum_resolution():
     spectrum = EnergySpectrum((0.0, 1.0), 40.0)
     with pytest.raises(ValueError):
         beta_permutation([0, 1], [1, 0], spectrum)
-    # each weight e^{709} is finite, their sum is not
-    with pytest.raises(ValueError):
-        beta_permutation([0, 1, 2, 3], [0, 1, 2, 3], EnergySpectrum((-709.0,) * 4, 1.0))
+
+
+def test_beta_permutation_on_levels_far_below_zero_is_the_identity():
+    # e^{709} four times overflows a sum; weights taken from the lowest level are each 1
+    P = beta_permutation([0, 1, 2, 3], [0, 1, 2, 3], EnergySpectrum((-709.0,) * 4, 1.0))
+    assert np.array_equal(P, np.eye(4))
 
 
 @st.composite
