@@ -4,10 +4,11 @@
     xhbac accept <all|criterion key>
     xhbac query <op> [--key value ...]
 
-Global flag: --seed (seed of the randomized acceptance criteria).  Each value
-has one way in: figure settings come from the config file and --set, query
-inputs (the Fock cutoff --nmax, the tolerance --atol of thermo-majorizes) from
-the op's own keys.  Exit codes: 0 success, 1 invariant failure, 2 usage error.
+Global flag: --seed (the non-negative seed of the randomized acceptance
+criteria).  Each value has one way in: figure settings come from the config
+file and --set, query inputs (the Fock cutoff --nmax, the tolerance --atol of
+thermo-majorizes) from the op's own keys.  Exit codes: 0 success, 1 invariant
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -202,11 +203,23 @@ def _parse_kv(tokens: list[str]) -> dict[str, str]:
     return args
 
 
+def _seed(text: str) -> int:
+    """A criterion seed: every randomized criterion seeds numpy with it plus an offset."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="xhbac", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"xhbac {__version__}")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized criteria")
+    parser.add_argument("--seed", type=_seed, default=0,
+                        help="non-negative seed for randomized criteria")
     sub = parser.add_subparsers(dest="command")
 
     fig = sub.add_parser("figure", help="emit a figure data table as CSV")

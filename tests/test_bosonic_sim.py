@@ -1,6 +1,8 @@
 """Truncated Fock-space realizations: exact swap, exchange coupling, dissipation."""
 
+import contextlib
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -565,21 +567,21 @@ def _duration_of(steps, n_levels):
     return duration
 
 
-@pytest.mark.parametrize("rows, duration", [
-    *(pytest.param(np.random.default_rng(11).dirichlet(np.ones(61), size=k), 2.0, id=str(k))
-      for k in (1, 2, 3)),
-    # on 11 levels the stack stops changing after 11,111 of the 15,820 steps
-    pytest.param(_top_ground_uniform(11), 50.0, id="past-the-fixed-point"),
+@pytest.mark.parametrize("n_levels, duration", [
+    pytest.param(61, 2.0, id="61-levels"),
+    # on 11 levels the identity stops changing after 11,111 of the 15,820 steps
+    pytest.param(11, 50.0, id="past-the-fixed-point"),
     # one step, odd and even step counts, and the edges of the loop's blocks
-    *(pytest.param(np.random.default_rng(13).dirichlet(np.ones(11), size=k),
-                   _duration_of(steps, 11), id=f"{k}-rows-{steps}-steps")
-      for k, steps in ((2, 1), (2, 7), (2, 8), (2, bosonic_sim._BLOCK_STEPS + 1),
-                       (2, bosonic_sim._BLOCK_STEPS + 2), (3, 2 * bosonic_sim._BLOCK_STEPS + 3))),
+    *(pytest.param(11, _duration_of(steps, 11), id=f"{steps}-steps")
+      for steps in (1, 7, 8, bosonic_sim._BLOCK_STEPS + 1, bosonic_sim._BLOCK_STEPS + 2,
+                    2 * bosonic_sim._BLOCK_STEPS + 3)),
 ])
-def test_relaxation_of_one_or_two_rows_matches_the_matmul_loop_exactly(rows, duration):
+def test_relaxation_propagator_matches_the_matmul_loop_exactly(n_levels, duration):
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
-    out = bosonic_sim._rethermalize_array(rows, params.loss_rate, params.nbar, duration)
-    assert np.array_equal(out, _stepped_reference(rows, params.loss_rate, params.nbar, duration))
+    bosonic_sim._relaxation_propagator.cache_clear()
+    P = bosonic_sim._relaxation_propagator(n_levels, params.loss_rate, params.nbar, duration)
+    identity = np.eye(n_levels)
+    assert np.array_equal(P, _stepped_reference(identity, params.loss_rate, params.nbar, duration))
 
 
 def _stream(wait, n_atoms, n_max=20):
@@ -621,10 +623,10 @@ def test_relaxed_series_do_not_depend_on_the_propagator_cache(run):
 @pytest.mark.parametrize("beta_e", [0.3, 1.0, 3.0])
 @pytest.mark.parametrize("duration", [0.1, 1.0, 10.0])
 def test_propagator_product_matches_the_stepped_rows(beta_e, duration):
-    # Both forms carry the step loop's truncation and rounding, accumulated in
-    # a different order; at t = 10 each lies within 2e-13 of scipy's expm. The
-    # perturbed rows agree within 7e-14; the thermal row, which stepping holds
-    # near its fixed point, differs by up to 2.5e-13 (beta*E = 3, t = 10).
+    # Both forms carry the step matrix's truncation: the propagator steps the
+    # identity N times, the one-off rows take the squared power, so they round
+    # differently. At t = 10 each lies within 2.1e-13 of scipy's expm (the
+    # squared power within 2e-14), and they agree within 2e-13.
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
     thermal = ModePopulations.thermal(beta_e, 40)
     excited = jc_round(JointDiagState.product(np.array([0.0, 1.0]), thermal), 1.0, 1.0).p
@@ -635,46 +637,73 @@ def test_propagator_product_matches_the_stepped_rows(beta_e, duration):
     assert np.max(np.abs(rows.dot(P) - stepped)) <= 1e-12
 
 
-class _CountingArray(np.ndarray):
-    """An ndarray whose `dot` counts its calls, in the class attribute `dots`.
+@contextlib.contextmanager
+def _counted_dots():
+    """Count the ndarray `dot` calls made inside the block; every relaxation product is one."""
+    count = [0]
 
-    A relaxation of such a stack makes every step product through `dot`: the
-    first step on the stack itself, the rest on buffers of the same class.
-    """
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "dot":
+            count[0] += 1
 
-    dots = 0
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield count
+    finally:
+        sys.setprofile(previous)
 
-    def dot(self, *args, **kwargs):
-        _CountingArray.dots += 1
-        return super().dot(*args, **kwargs)
 
-
-def test_relaxation_stops_within_one_block_of_a_fixed_point_and_never_before(monkeypatch):
+def test_relaxation_stops_within_one_block_of_a_fixed_point_and_never_before():
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
-    steps = _step_count(61, params.loss_rate, params.nbar, 10.0)
-    thermal = ModePopulations.thermal(1.0, 60).t[None, :]
-    previous = thermal
-    for fixed, out in enumerate(_reference_steps(thermal, params.loss_rate, params.nbar, 10.0)):
+    identity = np.eye(11)
+    previous = identity
+    for fixed, out in enumerate(_reference_steps(identity, params.loss_rate, params.nbar, 50.0)):
         if out.tobytes() == previous.tobytes():  # step fixed + 1 returned its input
             break
         previous = out
-    # the figures' waits: a thermal mode that has just taken an excitation, t = 10
-    excited = JointDiagState.product(np.array([0.0, 1.0]), ModePopulations.thermal(1.0, 60))
-    perturbed = jc_round(excited, 1.0, 1.0).mode_marginal[None, :]
-    thermal_full = _stepped_reference(thermal, params.loss_rate, params.nbar, 10.0)
-    perturbed_full = _stepped_reference(perturbed, params.loss_rate, params.nbar, 10.0)
-    monkeypatch.setattr(_CountingArray, "dots", 0)
+    steps = _step_count(11, params.loss_rate, params.nbar, 50.0)
+    bosonic_sim._relaxation_propagator.cache_clear()
+    with _counted_dots() as dots:
+        P = bosonic_sim._relaxation_propagator(11, params.loss_rate, params.nbar, 50.0)
+    assert fixed + 1 <= dots[0] <= fixed + 1 + bosonic_sim._BLOCK_STEPS < steps
+    assert np.array_equal(P, previous)
 
-    out = bosonic_sim._rethermalize_array(thermal.view(_CountingArray), params.loss_rate,
-                                          params.nbar, 10.0)
-    assert fixed + 1 <= _CountingArray.dots <= fixed + 1 + bosonic_sim._BLOCK_STEPS < steps
-    assert np.array_equal(out, previous) and np.array_equal(out, thermal_full)
+    # the figures' waits: 61 levels, t = 10, where the identity never settles
+    steps = _step_count(61, params.loss_rate, params.nbar, 10.0)
+    with _counted_dots() as dots:
+        P = bosonic_sim._relaxation_propagator(61, params.loss_rate, params.nbar, 10.0)
+    assert dots[0] == steps == 18984
+    assert np.array_equal(P, _stepped_reference(np.eye(61), params.loss_rate, params.nbar, 10.0))
 
-    _CountingArray.dots = 0
-    out = bosonic_sim._rethermalize_array(perturbed.view(_CountingArray), params.loss_rate,
-                                          params.nbar, 10.0)
-    assert _CountingArray.dots == steps
-    assert np.array_equal(out, perturbed_full)
+
+@pytest.mark.parametrize("beta_e", [0.5, 1.0, 2.0])
+def test_one_off_relaxation_squares_the_step_matrix(beta_e):
+    # criterion 9's starts at t = 50: N = 94,919 steps at beta*E = 1, of which
+    # stepping the rows made 69,121 before reaching a float fixed point
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+    steps = _step_count(61, params.loss_rate, params.nbar, 50.0)
+    with _counted_dots() as dots:
+        out = bosonic_sim._rethermalize_array(_top_ground_uniform(61), params.loss_rate,
+                                              params.nbar, 50.0)
+    assert dots[0] <= 2 * steps.bit_length() + 1
+    thermal = ModePopulations.thermal(beta_e, 60).t
+    assert np.max(np.abs(out - thermal / thermal.sum())) < 1e-14
+
+
+@pytest.mark.parametrize("duration", [1e4, 1e9, 1e12])
+@pytest.mark.parametrize("beta_e", [0.5, 1.0, 3.0])
+def test_long_waits_reach_thermal_and_keep_the_mass(beta_e, duration):
+    # renormalizing each squared product's rows keeps the total probability:
+    # a plain matrix power drifts by 2.6e-2 at t = 1e12, and stepping the
+    # rows stops at a float fixed point up to 1.7e-12 off thermal
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+    start = np.zeros(61)
+    start[45] = 1.0
+    out = rethermalize_mode(ModePopulations(start), params, duration).t
+    thermal = ModePopulations.thermal(beta_e, 60).t
+    assert 0.5 * np.abs(out - thermal / thermal.sum()).sum() <= 1e-13
+    assert abs(out.sum() - start.sum()) <= 1e-14
 
 
 def test_stacked_relaxation_matches_row_by_row():

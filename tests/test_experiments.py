@@ -330,6 +330,16 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-5", "-1", "1.5"])
+@pytest.mark.parametrize("name", ["all", "beta-permutation"])
+def test_cli_refuses_a_seed_that_is_not_a_non_negative_integer(seed, name, capsys):
+    # numpy seeds a criterion with the seed plus an offset, and refuses a negative one
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", seed, "accept", name])
+    assert exc.value.code == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     "markovian-best --betaE 1 --p0 nan",
     "markovian-best --betaE 1 --p0 1.5",
