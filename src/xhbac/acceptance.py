@@ -52,6 +52,7 @@ from .protocols import (
 )
 from .thermal_core import (
     EnergySpectrum,
+    _count,
     beta_order,
     beta_permutation,
     gibbs_state,
@@ -88,7 +89,7 @@ def _criterion(ident: int, key: str, limit: float):
         @wraps(check)
         def criterion(seed: int = 0) -> CriterionResult:
             start = time.perf_counter()
-            ok, detail = check(seed)
+            ok, detail = check(_count(seed, "seed"))
             elapsed = time.perf_counter() - start
             return CriterionResult(ident, key, bool(ok) and elapsed <= limit, elapsed, limit,
                                    detail)
@@ -383,6 +384,9 @@ def criterion_atom_stream(seed: int = 0):
 
 def run_acceptance(name: str, seed: int = 0) -> list[CriterionResult]:
     """Run every criterion (`all`) or the one with key `name`, printing a verdict line each."""
+    if name != "all" and name not in _IDENTS:
+        raise ValueError(f"unknown criterion {name!r}; expected all or one of: "
+                         f"{', '.join(_IDENTS)}")
     idents = list(CRITERIA) if name == "all" else [_IDENTS[name]]
     results = []
     for ident in idents:

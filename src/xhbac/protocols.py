@@ -331,21 +331,14 @@ def thermal_contact_determinant(q, lam, p: float, beta_e: float):
     q = np.asarray(q, dtype=float)
     lam = np.asarray(lam, dtype=float)
     x = math.exp(-beta_e)
-    # coherence - u * (u + 1), evaluated in place: a grid scan spends its time on
-    # temporaries.  The float operations and their order are those of the plain formula.
-    coherence = (lam - 1.0) * (x * lam - 1.0) * (q - p)
-    coherence *= p + q - 1.0
-    u = q * (x * lam + lam - 1.0)
-    u -= lam
-    out = u + 1.0
-    out *= u
-    coherence -= out
-    return coherence
+    coherence = (lam - 1.0) * (x * lam - 1.0) * (q - p) * (p + q - 1.0)
+    u = q * (x * lam + lam - 1.0) - lam
+    return coherence - u * (u + 1.0)
 
 
 @dataclass(frozen=True)
 class DeterminantScan:
-    """Grid minimizer of the post-round determinant over (q, lam)."""
+    """Minimizer of the post-round determinant over (q, lam), read off the boundary."""
 
     q_star: float
     lambda_star: float
@@ -356,17 +349,20 @@ class DeterminantScan:
 
 
 def to_determinant_scan(p: float, spectrum, lambda_max: float = 1.0) -> DeterminantScan:
-    """Locate the determinant minimum on a (q, lam) grid of step 1e-3, refined at step 1e-4.
+    """Locate the determinant minimum over q in [1 - p, p] and lam in [0, lambda_max].
 
-    Each grid is evaluated in batches of rows of a fixed element budget; the
-    minimizer is the grid's first minimum in C order (q-major), as an argmin
-    over the whole grid would give, so a later batch wins only on a strictly
-    smaller value.  `p` must lie in [1/2, 1].
+    The lam^2 coefficient is non-positive for every such q, so the minimum lies
+    on lam = 0 or lam = lambda_max.  On lam = 0 the determinant is p(1 - p) for
+    every q, so (1 - p, 0) stands for that edge; on lam = lambda_max it is a
+    quadratic in q, minimal at q = 1 - p, at q = p, or at its vertex when the
+    quadratic is convex and the vertex lies strictly inside.  The minimizer is
+    the least of these candidates: least f, then least q, then least lam.
+    `p` must lie in [1/2, 1].
 
     Whenever lambda_max exceeds the two-level threshold and p sits strictly
     below the protocol's fixed point (the nontrivial cooling regime), the
     minimum must land on the corner (q, lam) = (1 - p, lambda_max); the scan
-    raises if the grid disagrees.
+    raises if the candidates disagree.
     """
     _ground_population(p, 0.5)
     if not 0.0 < lambda_max <= 1.0:
@@ -376,27 +372,19 @@ def to_determinant_scan(p: float, spectrum, lambda_max: float = 1.0) -> Determin
     above = lambda_max > threshold
     trivial = p >= noisy_fixed_point(1.0 - lambda_max, beta_e)
 
-    def scan(q_lo, q_hi, l_lo, l_hi, step):
-        nq = max(2, int(math.ceil((q_hi - q_lo) / step)) + 1) if q_hi > q_lo else 1
-        nl = max(2, int(math.ceil((l_hi - l_lo) / step)) + 1)
-        qs = np.linspace(q_lo, q_hi, nq)
-        ls = np.linspace(l_lo, l_hi, nl)
-        best_q, best_l, best_f = 0, 0, math.inf
-        rows = max(1, _BATCH_ELEMENTS // nl)
-        for start in range(0, nq, rows):
-            f = thermal_contact_determinant(qs[start : start + rows, None], ls, p, beta_e)
-            iq, il = np.unravel_index(int(np.argmin(f)), f.shape)
-            if f[iq, il] < best_f:
-                best_q, best_l, best_f = start + iq, il, f[iq, il]
-        return float(qs[best_q]), float(ls[best_l]), float(best_f)
-
-    step = 1e-3
-    q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, step)
-    q_lo = max(1.0 - p, q0 - step)
-    q_hi = min(p, q0 + step)
-    l_lo = max(0.0, l0 - step)
-    l_hi = min(lambda_max, l0 + step)
-    q_star, l_star, f_star = scan(q_lo, q_hi, l_lo, l_hi, step / 10)
+    candidates = [(1.0 - p, 0.0), (1.0 - p, lambda_max), (p, lambda_max)]
+    x = math.exp(-beta_e)
+    # On lam = lambda_max, f = (a - c^2) q^2 + (c (2 lam - 1) - a) q + const.
+    a = (lambda_max - 1.0) * (x * lambda_max - 1.0)
+    c = x * lambda_max + lambda_max - 1.0
+    curvature = a - c * c
+    if curvature > 0.0:
+        vertex = (a - c * (2.0 * lambda_max - 1.0)) / (2.0 * curvature)
+        if 1.0 - p < vertex < p:
+            candidates.append((vertex, lambda_max))
+    f_star, q_star, l_star = min(
+        (float(thermal_contact_determinant(q, l, p, beta_e)), q, l) for q, l in candidates
+    )
 
     if above and not trivial:
         corner = q_star == 1.0 - p and l_star == lambda_max

@@ -617,7 +617,7 @@ def test_degenerate_closed_form_is_constant():
 def test_determinant_scan_finds_the_corner():
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     scan = to_determinant_scan(0.7, spectrum, lambda_max=1.0)
-    assert scan.q_star == pytest.approx(0.3)
+    assert scan.q_star == 1.0 - 0.7
     assert scan.lambda_star == 1.0
     assert scan.above_threshold and not scan.trivial_regime
 
@@ -653,8 +653,11 @@ def test_determinant_scan_maximally_mixed_orbit_collapses():
     assert scan.lambda_star == 1.0
 
 
+_GRID_STEP = 1e-3
+
+
 def _dense_determinant_scan(p, spectrum, lambda_max=1.0):
-    """(q*, lam*, f*) from one array per grid: the coarse-to-fine scan without batches."""
+    """(q*, lam*, f*) of the grid reference: a 1e-3 grid over (q, lam), refined at 1e-4."""
     beta_e = spectrum.beta * spectrum.gap
 
     def scan(q_lo, q_hi, l_lo, l_hi, step):
@@ -665,54 +668,85 @@ def _dense_determinant_scan(p, spectrum, lambda_max=1.0):
         iq, il = np.unravel_index(int(np.argmin(f)), f.shape)
         return float(qs[iq]), float(ls[il]), float(f[iq, il])
 
-    q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, 1e-3)
-    return scan(max(1.0 - p, q0 - 1e-3), min(p, q0 + 1e-3),
-                max(0.0, l0 - 1e-3), min(lambda_max, l0 + 1e-3), 1e-4)
+    q0, l0, _ = scan(1.0 - p, p, 0.0, lambda_max, _GRID_STEP)
+    return scan(max(1.0 - p, q0 - _GRID_STEP), min(p, q0 + _GRID_STEP),
+                max(0.0, l0 - _GRID_STEP), min(lambda_max, l0 + _GRID_STEP), _GRID_STEP / 10)
 
 
-@pytest.mark.parametrize("budget", [None, 1000, 1 << 22])
+def _assert_the_grid_agrees(p, beta_e, lambda_max):
+    spectrum = EnergySpectrum((0.0, 1.0), beta_e)
+    scan = to_determinant_scan(p, spectrum, lambda_max=lambda_max)
+    assert 1.0 - p <= scan.q_star <= p and scan.lambda_star in (0.0, lambda_max)
+    assert scan.f_star == thermal_contact_determinant(scan.q_star, scan.lambda_star, p, beta_e)
+    _, _, grid_f = _dense_determinant_scan(p, spectrum, lambda_max)
+    assert scan.f_star <= grid_f + 1e-15  # rounding where the minimizer is the vertex
+    # The coarse grid holds (1 - p, 0), both ends of lam = lambda_max and a q
+    # within half a step of any vertex, where the q^2 coefficient is at most 1.
+    assert grid_f - scan.f_star <= (_GRID_STEP / 2) ** 2
+
+
 @pytest.mark.parametrize("p, beta_e, lambda_max", [
     (0.99, 1.0, 1.0),
     (0.7, 1.0, 1.0),
     (0.6, 0.4, 0.95),
     (0.5, 1.0, 1.0),
     (1.0, 2.0, 0.5),
-    (0.75, 1.0, 0.3),  # equal minima along lam = 0, in more than one batch
+    (0.75, 1.0, 0.3),  # equal minima along lam = 0
+    (0.7, 1.0, 0.7),  # minimum at the vertex
 ])
-def test_determinant_scan_equals_the_dense_scan(p, beta_e, lambda_max, budget, monkeypatch):
-    if budget is not None:
-        monkeypatch.setattr(protocols, "_BATCH_ELEMENTS", budget)
-    spectrum = EnergySpectrum((0.0, 1.0), beta_e)
-    scan = to_determinant_scan(p, spectrum, lambda_max=lambda_max)
-    want = _dense_determinant_scan(p, spectrum, lambda_max)
+def test_determinant_scan_is_no_worse_than_the_grid(p, beta_e, lambda_max):
+    _assert_the_grid_agrees(p, beta_e, lambda_max)
+
+
+@given(st.floats(0.5, 1.0), st.floats(0.1, 3.0), st.floats(1e-3, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_determinant_scan_is_no_worse_than_the_grid_anywhere(p, beta_e, lambda_max):
+    _assert_the_grid_agrees(p, beta_e, lambda_max)
+
+
+@given(st.floats(0.5, 1.0), st.floats(0.0, 5.0))
+@settings(max_examples=50, deadline=None)
+def test_determinant_is_concave_in_lam_on_the_orbit(p, beta_e):
+    # The boundary argument: for q in [1 - p, p] the lam^2 coefficient is not
+    # positive, so f(q, 0) - 2 f(q, 1/2) + f(q, 1), which is half of it, is not either.
+    qs = np.linspace(1.0 - p, p, 101)
+    f0, f_half, f1 = (thermal_contact_determinant(qs, lam, p, beta_e) for lam in (0.0, 0.5, 1.0))
+    assert np.all(f0 - 2.0 * f_half + f1 <= 1e-15)
+
+
+@pytest.mark.parametrize("p, beta_e, lambda_max", [
+    (0.7, 1.0, 0.7),
+    (0.8, 2.0, 0.9),
+    (0.9, 3.0, 0.9),
+])
+def test_determinant_scan_finds_an_interior_vertex(p, beta_e, lambda_max):
+    scan = to_determinant_scan(p, EnergySpectrum((0.0, 1.0), beta_e), lambda_max=lambda_max)
+    assert 1.0 - p < scan.q_star < p and scan.lambda_star == lambda_max
+    assert scan.f_star < p * (1.0 - p)  # the lam = 0 edge
+    for q in (1.0 - p, p):
+        assert scan.f_star < thermal_contact_determinant(q, lambda_max, p, beta_e)
+
+
+@pytest.mark.parametrize("p, beta_e, lambda_max, want", [
+    (0.75, 1.0, 0.3, (0.25, 0.0, 0.1875)),
+    (1.0, 2.0, 0.5, (0.0, 0.0, 0.0)),
+])
+def test_determinant_scan_on_the_flat_edge_takes_the_least_q(p, beta_e, lambda_max, want):
+    # Without contact the determinant is p(1 - p) for every q; the tie rule
+    # (least f, then least q, then least lam) picks (1 - p, 0).
+    scan = to_determinant_scan(p, EnergySpectrum((0.0, 1.0), beta_e), lambda_max=lambda_max)
     assert (scan.q_star, scan.lambda_star, scan.f_star) == want
-
-
-def test_determinant_scan_keeps_the_first_of_equal_minima():
-    # Without contact the determinant is p(1 - p) for every q, so the coarse
-    # grid's minimum at p = 0.75, lam_max = 0.3 is tied along lam = 0 over rows
-    # that fall in different batches; the first in C order must win.
-    p, lambda_max = 0.75, 0.3
-    qs, ls = np.linspace(0.25, 0.75, 501), np.linspace(0.0, lambda_max, 301)
-    f = thermal_contact_determinant(qs[:, None], ls[None, :], p, 1.0)
-    tied_rows = np.argwhere(f == f.min())[:, 0]
-    assert len(set(tied_rows // (protocols._BATCH_ELEMENTS // ls.size))) > 1
-    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
-    scan = to_determinant_scan(p, spectrum, lambda_max=lambda_max)
-    assert (scan.q_star, scan.lambda_star, scan.f_star) == _dense_determinant_scan(
-        p, spectrum, lambda_max)
-    assert abs(scan.q_star - qs[tied_rows[0]]) <= 1e-3  # refined around the first tied row
-
-
-def test_determinant_scan_memory_is_bounded():
-    # the single-array coarse grid is 981 x 1001 doubles, 7.5 MB per temporary
-    spectrum = EnergySpectrum((0.0, 1.0), 1.0)
-    assert traced_peak_mb(lambda: to_determinant_scan(0.99, spectrum, lambda_max=1.0)) < 1.5
 
 
 def test_determinant_scan_rejects_low_ground_population():
     with pytest.raises(ValueError):
         to_determinant_scan(0.4, EnergySpectrum((0.0, 1.0), 1.0))
+
+
+@pytest.mark.parametrize("lambda_max", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_determinant_scan_refuses_lambda_max_outside_the_unit_interval(lambda_max):
+    with pytest.raises(ValueError, match="lambda_max"):
+        to_determinant_scan(0.7, EnergySpectrum((0.0, 1.0), 1.0), lambda_max=lambda_max)
 
 
 def test_determinant_scan_random_corners(rng):

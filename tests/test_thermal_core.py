@@ -375,9 +375,10 @@ def test_infinite_temperature_reduces_to_classical_majorization(rng):
         assert thermo_majorizes(p, q, spectrum) == classical
 
 
-def _reachable_by_linear_program(p, q, spectrum) -> bool:
-    d = p.size
+def _gibbs_stochastic_constraints(spectrum):
+    """Equality rows and right-hand sides on the row-major entries of a Gibbs-stochastic G."""
     g = gibbs_state(spectrum)
+    d = g.size
     rows, rhs = [], []
     for j in range(d):  # column sums
         row = np.zeros(d * d)
@@ -389,6 +390,12 @@ def _reachable_by_linear_program(p, q, spectrum) -> bool:
         row[i * d : (i + 1) * d] = g
         rows.append(row)
         rhs.append(g[i])
+    return rows, rhs
+
+
+def _reachable_by_linear_program(p, q, spectrum) -> bool:
+    d = p.size
+    rows, rhs = _gibbs_stochastic_constraints(spectrum)
     for i in range(d):  # G p = q
         row = np.zeros(d * d)
         row[i * d : (i + 1) * d] = p
@@ -609,6 +616,25 @@ def _degenerate_spectrum(rng, d):
     j = int(rng.integers(1, d))
     levels[j] = levels[j - 1]
     return EnergySpectrum(tuple(levels), spectrum.beta)
+
+
+def test_extremal_points_span_the_thermal_polytope(rng):
+    # The hull of the images is the whole reachable set exactly when, in every
+    # direction c, no Gibbs-stochastic G takes p further than some image does.
+    worst = 0.0
+    for case in range(40):
+        d = 2 + case % 5
+        spectrum = _degenerate_spectrum(rng, d) if case % 4 == 0 else random_spectrum(rng, d)
+        spectrum = EnergySpectrum(spectrum.levels, float(rng.uniform(0.1, 5.0)))
+        p = rng.dirichlet(np.ones(d))
+        points = extremal_points(p, spectrum).points
+        rows, rhs = _gibbs_stochastic_constraints(spectrum)
+        for c in rng.normal(size=(10, d)):
+            res = linprog(-np.outer(c, p).ravel(), A_eq=np.array(rows), b_eq=np.array(rhs),
+                          bounds=(0.0, None), method="highs")
+            assert res.status == 0
+            worst = max(worst, abs(-res.fun - float(np.max(points @ c))))
+    assert worst <= 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
