@@ -27,11 +27,11 @@ from .thermal_core import (
     EnergySpectrum,
     _beta_e,
     _count,
+    _curve_heights,
     _ground_population,
     _permutation_table,
     _population_row,
     _row_elbows,
-    _row_heights,
     as_population,
     gibbs_state,
 )
@@ -102,8 +102,9 @@ def optimal_round(p_system, spec) -> np.ndarray:
     joint = sorted(p if anc is None else [x * a for x in p for a in anc])
     active = [joint[k] for k in spec._energy_rank]  # ascending populations onto ascending energies
     xs, ys = _row_elbows(active, spec)
-    heights = _row_heights(spec._cooling_targets, xs, ys)  # heights[0] = 0
-    return spec.system_marginal(np.array([heights[m + 1] - heights[m] for m in spec._cooling_rank]))
+    heights = _curve_heights(spec._cooling_targets, xs, ys)  # heights[0] = 0
+    # np.diff's bits without its call overhead, a tenth of a round at d = 8
+    return spec.system_marginal((heights[1:] - heights[:-1])[spec._cooling_rank])
 
 
 def run_optimal_protocol(p0, spec, rounds: int) -> ProtocolTrace:
@@ -361,8 +362,11 @@ def to_determinant_scan(p: float, spectrum, lambda_max: float = 1.0) -> Determin
 
     Whenever lambda_max exceeds the two-level threshold and p sits strictly
     below the protocol's fixed point (the nontrivial cooling regime), the
-    minimum must land on the corner (q, lam) = (1 - p, lambda_max); the scan
-    raises if the candidates disagree.
+    minimum must land on the corner (q, lam) = (1 - p, lambda_max): the scan
+    raises if another candidate lies lower, and a tie goes to the corner (near
+    beta*E = 0 the corner's lead falls below rounding).  Where e^{-beta E}
+    rounds to 1 and lambda_max = 1 the noisy swap leaves every p in place, so
+    the regime is trivial.
     """
     _ground_population(p, 0.5)
     if not 0.0 < lambda_max <= 1.0:
@@ -370,10 +374,11 @@ def to_determinant_scan(p: float, spectrum, lambda_max: float = 1.0) -> Determin
     beta_e = spectrum.beta * spectrum.gap
     threshold = 1.0 - epsilon_threshold(beta_e)
     above = lambda_max > threshold
-    trivial = p >= noisy_fixed_point(1.0 - lambda_max, beta_e)
+    x = math.exp(-beta_e)
+    # with lambda_max = 1 and x = 1 the noisy swap is p' = p, and noisy_fixed_point refuses
+    trivial = (lambda_max == 1.0 and x == 1.0) or p >= noisy_fixed_point(1.0 - lambda_max, beta_e)
 
     candidates = [(1.0 - p, 0.0), (1.0 - p, lambda_max), (p, lambda_max)]
-    x = math.exp(-beta_e)
     # On lam = lambda_max, f = (a - c^2) q^2 + (c (2 lam - 1) - a) q + const.
     a = (lambda_max - 1.0) * (x * lambda_max - 1.0)
     c = x * lambda_max + lambda_max - 1.0
@@ -382,16 +387,15 @@ def to_determinant_scan(p: float, spectrum, lambda_max: float = 1.0) -> Determin
         vertex = (a - c * (2.0 * lambda_max - 1.0)) / (2.0 * curvature)
         if 1.0 - p < vertex < p:
             candidates.append((vertex, lambda_max))
-    f_star, q_star, l_star = min(
-        (float(thermal_contact_determinant(q, l, p, beta_e)), q, l) for q, l in candidates
-    )
+    values = [(float(thermal_contact_determinant(q, l, p, beta_e)), q, l) for q, l in candidates]
+    f_star, q_star, l_star = min(values)
 
     if above and not trivial:
-        corner = q_star == 1.0 - p and l_star == lambda_max
-        if not corner:
+        if values[1][0] > f_star:  # values[1] is the corner
             raise RuntimeError(
                 f"expected boundary minimizer (1-p, lambda_max), got ({q_star}, {l_star})"
             )
+        f_star, q_star, l_star = values[1]
     return DeterminantScan(
         q_star=q_star,
         lambda_star=l_star,

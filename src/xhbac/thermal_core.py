@@ -41,7 +41,7 @@ __all__ = [
 BASE_TOLERANCE = 1e-12
 #: Relative tolerance used when comparing thermo-majorization curves.
 CURVE_RTOL = 1e-9
-#: Largest temporary array, in elements, that the grid scans and the exhaustive
+#: Largest temporary array, in elements, that the angle scan and the exhaustive
 #: oracle build at once (0.25 MB of float64); larger inputs stream in batches.
 _BATCH_ELEMENTS = 1 << 15
 #: Curves are read on abscissae times 2^52, where no slope overflows, not even
@@ -167,14 +167,18 @@ class CompositeSpec(_BoltzmannCache):
         return tuple(gibbs_state(self.ancilla).tolist())
 
     @cached_property
-    def _cooling_rank(self) -> tuple[int, ...]:
+    def _cooling_rank(self) -> np.ndarray:
         """Position of each joint level in beta_opt_alpha(d, r), the round's target order."""
-        return tuple(np.argsort(beta_opt_alpha(self.d, self.r)).tolist())
+        rank = np.argsort(beta_opt_alpha(self.d, self.r))
+        rank.flags.writeable = False
+        return rank
 
     @cached_property
-    def _cooling_targets(self) -> tuple[float, ...]:
+    def _cooling_targets(self) -> np.ndarray:
         """0, then the cumulative Boltzmann weight in beta_opt_alpha(d, r)."""
-        return (0.0,) + tuple(np.cumsum(self._boltzmann[beta_opt_alpha(self.d, self.r)]).tolist())
+        targets = np.concatenate(([0.0], np.cumsum(self._boltzmann[beta_opt_alpha(self.d, self.r)])))
+        targets.flags.writeable = False
+        return targets
 
     def joint_population(self, p_system: Sequence[float]) -> np.ndarray:
         p = as_population(p_system, self.d)
@@ -295,7 +299,7 @@ class ThermoCurve:
         tol = 1e-12 * self.partition
         if not np.all((-tol <= xs) & (xs <= self.partition + tol)):  # also rejects NaN
             raise ValueError(f"x={xs} outside curve domain [0, {self.partition}]")
-        return np.interp(xs * _SLOPE_SCALE, self.xs * _SLOPE_SCALE, self.ys)
+        return _curve_heights(xs, self.xs, self.ys)
 
 
 def _row_elbows(p: list[float], spectrum) -> tuple[list[float], list[float]]:
@@ -314,25 +318,15 @@ def _row_elbows(p: list[float], spectrum) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
-def _row_heights(targets, xs: list[float], ys: list[float]) -> list[float]:
-    """`np.interp(targets, xs, ys)` for ascending targets >= xs[0], in one merge pass.
+def _curve_heights(targets, xs, ys) -> np.ndarray:
+    """Heights at `targets` of the curve with elbows (xs, ys): `np.interp` on abscissae times `_SLOPE_SCALE`.
 
-    Same formula and rules, on abscissae scaled by `_SLOPE_SCALE`: a target on
-    an elbow (the last of a run of equal abscissae) or past the last one takes
-    that elbow's height.
+    A target on an elbow (the last of a run of equal abscissae) or past the
+    last one takes that elbow's height.  Every thermo-majorization curve of a
+    single row is read here; the oracle's stack of curves is read as lower
+    envelopes (`protocols._supporting_lines`).
     """
-    out = []
-    last = len(xs) - 1
-    j = 0
-    for x in targets:
-        while j < last and xs[j + 1] <= x:
-            j += 1
-        if j == last or xs[j] == x:
-            out.append(ys[j])
-        else:
-            run, offset = (xs[j + 1] - xs[j]) * _SLOPE_SCALE, (x - xs[j]) * _SLOPE_SCALE
-            out.append((ys[j + 1] - ys[j]) / run * offset + ys[j])
-    return out
+    return np.interp(np.multiply(targets, _SLOPE_SCALE), np.multiply(xs, _SLOPE_SCALE), ys)
 
 
 def thermo_curve(p, spectrum) -> ThermoCurve:
@@ -344,18 +338,19 @@ def thermo_curve(p, spectrum) -> ThermoCurve:
 def thermo_majorizes(p, q, spectrum, atol: float = BASE_TOLERANCE) -> bool:
     """True when the curve of p is nowhere below the curve of q.
 
-    Checking the elbow abscissae of both curves suffices because both are
-    piecewise linear.  Equality within tolerance (the larger of `atol` and
-    CURVE_RTOL times the height) counts as majorization, so the relation is
-    reflexive under floating point.  `atol` must be finite and non-negative.
+    The curve of p is concave and that of q is linear between its elbows, so
+    p's lead over q is least at one of q's elbows, and only those are
+    checked: p's height there may fall short of q's elbow height by the
+    tolerance (the larger of `atol` and CURVE_RTOL times p's height), so the
+    relation is reflexive under floating point.  `atol` must be finite and
+    non-negative.
     """
     if not 0.0 <= atol < math.inf:  # also rejects NaN
         raise ValueError(f"atol must be finite and non-negative, got {atol}")
     dim = len(spectrum.levels)
     xp, yp = _row_elbows(_population_row(p, dim), spectrum)
     xq, yq = _row_elbows(_population_row(q, dim), spectrum)
-    xs = sorted(xp + xq)  # the union of both elbow sets
-    for a, b in zip(_row_heights(xs, xp, yp), _row_heights(xs, xq, yq)):
+    for a, b in zip(_curve_heights(xq, xp, yp).tolist(), yq):
         if not b <= a + max(atol, CURVE_RTOL * abs(a)):
             return False
     return True
@@ -501,8 +496,7 @@ def _order_images(p: np.ndarray, spectrum, table: np.ndarray) -> np.ndarray:
     """
     perms = table.astype(np.intp)
     X, Y = _row_elbows(p, spectrum)
-    targets = np.cumsum((spectrum._boltzmann * _SLOPE_SCALE)[perms], axis=1)
-    heights = np.interp(targets, np.multiply(X, _SLOPE_SCALE), Y)
+    heights = _curve_heights(np.cumsum(spectrum._boltzmann[perms], axis=1), X, Y)
     images = np.empty(perms.shape)
     np.put_along_axis(images, perms, np.diff(heights, axis=1, prepend=0.0), axis=1)
     return images

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy.optimize import linprog
 
 from xhbac import (
     CavityParams,
@@ -51,7 +52,7 @@ from xhbac import (
 from xhbac import protocols
 from xhbac.protocols import _supporting_lines
 from xhbac.thermal_core import _SLOPE_SCALE, _permutation_table, _row_elbows
-from conftest import random_spectrum, traced_peak_mb
+from conftest import gibbs_stochastic_constraints, random_spectrum, traced_peak_mb
 
 Q = math.exp(-1.0)
 
@@ -237,6 +238,45 @@ def test_protocol_trace_equals_the_numpy_round_exactly(d, r, rng):
             history.append(_numpy_optimal_round(history[-1], spec))
         trace = run_optimal_protocol(p0, spec, 30)
         assert trace.populations.tobytes() == np.array(history).tobytes()
+
+
+def _linear_program_marginal_sums(p, spec):
+    """Largest mass a joint Gibbs-stochastic G can move into system levels 0..l, l < d - 1.
+
+    G acts on the maximally active joint arrangement x and has n^2 entries
+    >= 0.  Solved by HiGHS, with no curve anywhere.
+    """
+    n = spec.dim
+    x = maximally_active(spec.joint_population(p), spec)
+    rows, rhs = gibbs_stochastic_constraints(spec)
+    sums = []
+    for levels in range(1, spec.d):
+        into = np.arange(n) < levels * spec.r  # joint index i * r + a holds system level i
+        res = linprog(-np.kron(into, x), A_eq=np.array(rows), b_eq=np.array(rhs),
+                      bounds=(0.0, None), method="highs")
+        assert res.status == 0
+        sums.append(-res.fun)
+    return np.array(sums)
+
+
+@pytest.mark.parametrize("d,r", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (2, 3), (3, 2)])
+def test_optimal_round_equals_the_linear_program_optimum(d, r, rng):
+    # For the fixed arrangement, the round puts as much mass into the lowest
+    # l + 1 system levels as any joint Gibbs-stochastic map can, for every l at once.
+    for kind in ("random", "degenerate", "thermal", "one-hot"):
+        system = random_spectrum(rng, d)
+        if kind == "degenerate":
+            levels = list(system.levels)
+            levels[d - 1] = levels[d - 2]
+            system = EnergySpectrum(tuple(levels), system.beta)
+        ancilla = None
+        if r > 1:
+            ancilla = EnergySpectrum(tuple(np.sort(rng.uniform(0.0, 2.0, r))), system.beta)
+        spec = CompositeSpec(system=system, ancilla=ancilla)
+        p = {"thermal": gibbs_state(system), "one-hot": np.eye(d)[int(rng.integers(d))]}.get(
+            kind, rng.dirichlet(np.ones(d)))
+        got = np.cumsum(optimal_round(p, spec))[:-1]
+        assert np.max(np.abs(_linear_program_marginal_sums(p, spec) - got)) <= 1e-10
 
 
 @pytest.mark.parametrize("bad", [[math.nan, 1.0], [math.inf, 0.0], [0.5, -math.inf]])
@@ -698,10 +738,30 @@ def test_determinant_scan_is_no_worse_than_the_grid(p, beta_e, lambda_max):
     _assert_the_grid_agrees(p, beta_e, lambda_max)
 
 
-@given(st.floats(0.5, 1.0), st.floats(0.1, 3.0), st.floats(1e-3, 1.0))
+@given(st.floats(0.5, 1.0), st.floats(0.0, 3.0), st.floats(1e-3, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_determinant_scan_is_no_worse_than_the_grid_anywhere(p, beta_e, lambda_max):
     _assert_the_grid_agrees(p, beta_e, lambda_max)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.0])
+def test_determinant_scan_at_infinite_temperature_is_trivial(p):
+    # At beta*E = 0 a perfect swap maps every p to itself, so the noisy fixed
+    # point does not exist there; the regime is trivial and the tie rule holds.
+    scan = to_determinant_scan(p, EnergySpectrum((0.0, 1.0), 0.0))
+    assert scan.trivial_regime and scan.above_threshold
+    assert scan.q_star == 1.0 - p and scan.lambda_star == 0.0
+    assert scan.f_star == pytest.approx(p * (1.0 - p), abs=1e-15)
+    _assert_the_grid_agrees(p, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("beta_e", [2.0**-52, 1e-10])
+def test_determinant_scan_near_infinite_temperature_keeps_the_corner(beta_e):
+    # At p = 1/2 the corner lies 0.25 (1 - e^{-beta E})^2 below the lam = 0
+    # edge, under rounding here; the tie goes to the corner.
+    scan = to_determinant_scan(0.5, EnergySpectrum((0.0, 1.0), beta_e))
+    assert not scan.trivial_regime and scan.above_threshold
+    assert (scan.q_star, scan.lambda_star, scan.f_star) == (0.5, 1.0, 0.25)
 
 
 @given(st.floats(0.5, 1.0), st.floats(0.0, 5.0))

@@ -21,9 +21,9 @@ from xhbac import (
     thermo_majorizes,
     verify_gibbs_stochastic,
 )
-from xhbac.thermal_core import (BASE_TOLERANCE, _merge_images, _permutation_table, _row_elbows,
-                                _row_heights)
-from conftest import random_spectrum, traced_peak_mb
+from xhbac.thermal_core import (BASE_TOLERANCE, _curve_heights, _merge_images, _permutation_table,
+                                _row_elbows)
+from conftest import gibbs_stochastic_constraints, random_spectrum, traced_peak_mb
 
 Q = math.exp(-1.0)
 
@@ -340,16 +340,22 @@ def test_pair_check_equals_the_numpy_pair_check_exactly(d, rng):
         assert thermo_majorizes(q, p, spectrum) == _numpy_majorizes(q, p, spectrum)
 
 
-def test_row_heights_equal_np_interp_exactly(rng):
+def test_curve_heights_equal_np_interp_on_scaled_abscissae_exactly(rng):
+    def scaled_interp(targets, xs, ys):
+        return np.interp(np.multiply(targets, 2.0**52), np.multiply(xs, 2.0**52), ys)
+
     spectrum = _degenerate_spectrum(rng, 6)
     for p in (rng.dirichlet(np.ones(6)), gibbs_state(spectrum), np.eye(6)[5]):
         xs, ys = _row_elbows(p.tolist(), spectrum)
         # elbows, points between them and past the last one, ascending
         targets = sorted(xs + rng.uniform(0.0, xs[-1] * 1.1, 20).tolist() + [xs[-1] * 2])
-        assert _row_heights(targets, xs, ys) == np.interp(targets, xs, ys).tolist()
+        assert _curve_heights(targets, xs, ys).tobytes() == scaled_interp(targets, xs, ys).tobytes()
     xs, ys = [0.0, 1.0, 1.0, 2.0], [0.0, 0.5, 0.7, 1.0]  # a run of equal abscissae
     targets = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
-    assert _row_heights(targets, xs, ys) == np.interp(targets, xs, ys).tolist()
+    heights = _curve_heights(targets, xs, ys)
+    assert heights.tobytes() == scaled_interp(targets, xs, ys).tobytes()
+    # a target on the run takes the run's last height; one past the end, the last elbow's
+    assert heights[2] == 0.7 and heights[4] == heights[5] == 1.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, -1e-9, -1.0, math.inf])
@@ -375,27 +381,9 @@ def test_infinite_temperature_reduces_to_classical_majorization(rng):
         assert thermo_majorizes(p, q, spectrum) == classical
 
 
-def _gibbs_stochastic_constraints(spectrum):
-    """Equality rows and right-hand sides on the row-major entries of a Gibbs-stochastic G."""
-    g = gibbs_state(spectrum)
-    d = g.size
-    rows, rhs = [], []
-    for j in range(d):  # column sums
-        row = np.zeros(d * d)
-        row[j::d] = 1.0
-        rows.append(row)
-        rhs.append(1.0)
-    for i in range(d):  # G g = g
-        row = np.zeros(d * d)
-        row[i * d : (i + 1) * d] = g
-        rows.append(row)
-        rhs.append(g[i])
-    return rows, rhs
-
-
 def _reachable_by_linear_program(p, q, spectrum) -> bool:
     d = p.size
-    rows, rhs = _gibbs_stochastic_constraints(spectrum)
+    rows, rhs = gibbs_stochastic_constraints(spectrum)
     for i in range(d):  # G p = q
         row = np.zeros(d * d)
         row[i * d : (i + 1) * d] = p
@@ -628,7 +616,7 @@ def test_extremal_points_span_the_thermal_polytope(rng):
         spectrum = EnergySpectrum(spectrum.levels, float(rng.uniform(0.1, 5.0)))
         p = rng.dirichlet(np.ones(d))
         points = extremal_points(p, spectrum).points
-        rows, rhs = _gibbs_stochastic_constraints(spectrum)
+        rows, rhs = gibbs_stochastic_constraints(spectrum)
         for c in rng.normal(size=(10, d)):
             res = linprog(-np.outer(c, p).ravel(), A_eq=np.array(rows), b_eq=np.array(rhs),
                           bounds=(0.0, None), method="highs")
