@@ -543,8 +543,14 @@ def _relaxation_steps(n_levels: int, loss_rate: float, nbar: float,
     Fixed fourth-order steps of at most 0.05 / (A (nbar+1) n_max), half the
     scheme's stability limit on the fastest decay rate of the truncated
     ladder.  N = 0 (and no matrix) when nothing relaxes: a zero wait or a
-    zero loss rate.  The transposed matrix stays a view: a contiguous copy
-    selects another BLAS kernel, whose rounding differs in the last bits.
+    zero loss rate.  Rᵀ is a C-contiguous copy, not a transposed view: with
+    OpenBLAS's SkylakeX kernel, its default on AVX-512 hosts, a view is
+    repacked on every small product, and one 61-level step takes about
+    10.9 µs instead of 7.4 µs.  At the figures' 61 levels both layouts step
+    the identity to the same bits; at 41 or 81 levels, and for a (2, n)
+    stack from 41 levels up, that kernel rounds them differently in the
+    last bits.  From about 121 levels the step is compute-bound and the
+    layout buys nothing.
     """
     if not 0.0 <= duration < math.inf:
         raise ValueError(f"duration must be finite and non-negative, got {duration}")
@@ -555,7 +561,8 @@ def _relaxation_steps(n_levels: int, loss_rate: float, nbar: float,
         raise ValueError(f"a wait of {duration} at loss rate {loss_rate} and nbar={nbar} "
                          f"needs more RK4 steps than a double counts")
     steps = max(1, int(math.ceil(duration / max_step)))
-    return steps, _rk4_propagator(_rate_generator(n_levels, loss_rate, nbar), duration / steps).T
+    R = _rk4_propagator(_rate_generator(n_levels, loss_rate, nbar), duration / steps)
+    return steps, np.ascontiguousarray(R.T)
 
 
 def _stochastic_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -571,13 +578,13 @@ def _rethermalize_array(arr: np.ndarray, loss_rate: float, nbar: float,
 
     R and N are the step matrix and step count of `_relaxation_steps`.  The
     power is built by binary powering, at most 2 N.bit_length() products of
-    the small matrix, then applied to the stack in one product.  In exact
-    arithmetic every row of every power sums to 1 (the generator's columns
-    sum to 0), so dividing each product's rows by their sums removes only
-    rounding.  Without it, the rounding of the first squarings grows about
-    N-fold: a thermal row on 61 levels drifts by 2.6e-2 at t = 1e12.  With
-    it a thermal row stays within a few ulps at any wait, and the stack keeps
-    its mass to rounding.  The bits differ from stepping the rows, which
+    the small C-contiguous matrix, then applied to the stack in one product.
+    In exact arithmetic every row of every power sums to 1 (the generator's
+    columns sum to 0), so dividing each product's rows by their sums removes
+    only rounding.  Without it, the rounding of the first squarings grows
+    about N-fold: a thermal row on 61 levels drifts by 2.6e-2 at t = 1e12.
+    With it a thermal row stays within a few ulps at any wait, and the stack
+    keeps its mass to rounding.  The bits differ from stepping the rows, which
     `_relaxation_propagator` still does.
     """
     steps, RT = _relaxation_steps(arr.shape[-1], loss_rate, nbar, duration)
@@ -604,11 +611,12 @@ def _relaxation_propagator(n_levels: int, loss_rate: float, nbar: float,
     """Read-only matrix P such that stack.dot(P) relaxes each row of a stack for `duration`.
 
     P is the identity stepped N times through the step matrix of
-    `_relaxation_steps`: each step is one BLAS product of the stack with Rᵀ,
-    written into a second buffer.  Steps run in blocks of `_BLOCK_STEPS`.
-    After a block whose last step returned its input bit for bit (bytes
-    compared, so -0.0 and 0.0 differ), the loop stops: the step map is
-    deterministic, so every remaining step would return that same array.
+    `_relaxation_steps`: each step is one BLAS product of the stack with the
+    C-contiguous Rᵀ, written into a second buffer.  Steps run in blocks of
+    `_BLOCK_STEPS`.  After a block whose last step returned its input bit for
+    bit (bytes compared, so -0.0 and 0.0 differ), the loop stops: the step
+    map is deterministic, so every remaining step would return that same
+    array.
 
     It is not built by squaring: a squared or blocked product rounds
     differently and moves the atom-stream tables (fig5, fig9) by 1.2e-10,

@@ -282,7 +282,8 @@ def noisy_fixed_point(eps: float, beta_e: float) -> float:
     z = 1.0 + math.exp(-_beta_e(beta_e))
     denom = 2.0 - (1.0 - _deficit(eps)) * z
     if denom == 0.0:
-        raise ValueError("degenerate case beta_e = 0, eps = 0 has no fixed point")
+        raise ValueError(f"no unique fixed point at eps={eps!r}, beta_e={beta_e!r}: "
+                         "e^-beta_e rounds to 1, so with eps = 0 every p is a fixed point")
     return 1.0 - eps / denom
 
 

@@ -1,7 +1,9 @@
 """Config handling, result tables, figure runners, and the command line."""
 
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from xhbac import (
 )
 from xhbac.cli import main
 from xhbac.config import ExperimentConfig
-from xhbac.figures import run_figure
+from xhbac.figures import FIGURE_IDS, run_figure
 from xhbac.results import ResultTable, format_cell
 
 QUBIT = EnergySpectrum((0.0, 1.0), 1.0)
@@ -218,6 +220,19 @@ def test_fig9_pins_the_stream_parameters():
     assert [row[2] for row in table.rows] == pytest.approx([target] * 2, abs=1e-10)
 
 
+def test_default_bodies_stay_within_the_benchmark_references(monkeypatch):
+    # the benchmark judges each default table body against its stored reference;
+    # its body check is imported read-only, as the benchmark runs it
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    checks = importlib.import_module("checks")
+    results = [checks.compare_body(fig_id, run_figure(fig_id).body_csv(),
+                                   (perfbench / "reference" / f"{fig_id}.csv").read_text(),
+                                   checks.BODY_TOL)
+               for fig_id in FIGURE_IDS]
+    assert [(r["name"], r["ok"]) for r in results] == [(f, True) for f in FIGURE_IDS], results
+
+
 def test_unknown_figure_id_raises():
     with pytest.raises(KeyError):
         run_figure("fig1")
@@ -317,6 +332,8 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert main(["query", "curve-height", "--p", "0.7,0.3", "--x", "nan"]) == 2
     assert main(["query", "ideal-ground", "--k", "-1", "--betaE", "1", "--p0", "0.5"]) == 2
     assert main(["query", "noisy-asymptote", "--eps", "-0.5", "--betaE", "1"]) == 2
+    assert main(["query", "noisy-asymptote", "--eps", "0", "--betaE", "1e-17"]) == 2
+    assert "e^-beta_e rounds to 1" in capsys.readouterr().err
     for atol in ("nan", "inf", "-1"):
         assert main(["query", "thermo-majorizes", "--E", "0,1", "--p", "0.7,0.3",
                      "--q", "0.6,0.4", "--atol", atol]) == 2

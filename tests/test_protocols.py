@@ -646,8 +646,15 @@ def test_noisy_trace_contracts_toward_its_fixed_point(p0, eps_fraction, beta_e):
 def test_degenerate_closed_form_is_constant():
     # beta = 0 with a perfect swap keeps the population fixed
     assert noisy_ground_population(5, 0.0, 0.0, 0.62) == pytest.approx(0.62)
-    with pytest.raises(ValueError):
-        noisy_fixed_point(0.0, 0.0)
+
+
+@pytest.mark.parametrize("beta_e", [0.0, 1e-17])
+def test_noisy_fixed_point_refuses_where_e_to_the_minus_beta_e_rounds_to_one(beta_e):
+    with pytest.raises(ValueError, match=r"e\^-beta_e rounds to 1, so with eps = 0 every p is a "
+                                         r"fixed point"):
+        noisy_fixed_point(0.0, beta_e)
+    # e^-2e-16 rounds to 1 - 2^-52, so the denominator is no longer 0
+    assert noisy_fixed_point(0.0, 2e-16) == 1.0
 
 
 # ---------------------------------------------------------------------------
