@@ -93,10 +93,10 @@ class FockTruncation:
 def anharmonic_level_table(gap: float, tau: float, n_max: int) -> np.ndarray:
     """Ladder with gaps gap * (1 - (n+1) tau^2); raises once a gap turns non-positive.
 
-    A NaN or infinite gap or tau raises ValueError.
+    A gap that is not positive, or a NaN or infinite gap or tau, raises ValueError.
     """
-    if not (math.isfinite(gap) and math.isfinite(tau)):
-        raise ValueError(f"gap and tau must be finite, got gap={gap}, tau={tau}")
+    if not (0.0 < gap < math.inf and math.isfinite(tau)):
+        raise ValueError(f"gap must be positive and finite and tau finite, got gap={gap}, tau={tau}")
     n = np.arange(1, _count(n_max, "n_max") + 1)
     factors = 1.0 - n * tau**2
     if np.any(factors <= 0.0):
@@ -108,8 +108,9 @@ def anharmonic_level_table(gap: float, tau: float, n_max: int) -> np.ndarray:
 class ModePopulations:
     """Diagonal Fock populations of one mode.
 
-    Initialization truncates the thermal distribution without renormalizing;
-    the missing tail is visible through `deficit`.
+    A fresh thermal mode is the Gibbs distribution renormalized on the
+    truncated ladder, the reflecting relaxation's exact fixed point; the
+    weight it leaves out is counted once, as `FockTruncation.tail_bound`.
     """
 
     t: np.ndarray
@@ -127,9 +128,10 @@ class ModePopulations:
 
     @classmethod
     def thermal(cls, beta_e: float, n_max: int) -> "ModePopulations":
-        n = np.arange(n_max + 1)
-        q = math.exp(-beta_e)
-        return cls(t=(1.0 - q) * q**n)
+        if not beta_e > 0.0:  # (1 - q) q^n / (1 - q^{n_max+1}) is 0/0 at q = e^{-beta_e} = 1
+            raise ValueError(f"need beta_e > 0 for a thermal mode, got {beta_e}")
+        q = math.exp(-beta_e)  # expm1 keeps 1 - q and 1 - q^{n_max+1} accurate at small beta_e
+        return cls(t=math.expm1(-beta_e) * q ** np.arange(n_max + 1) / math.expm1(-beta_e * (n_max + 1)))
 
     @property
     def deficit(self) -> float:

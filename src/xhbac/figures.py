@@ -97,6 +97,8 @@ def _fig5(config: ExperimentConfig) -> ResultTable:
     spectrum = _qubit_spectrum(config)
     beta_e = spectrum.beta * spectrum.gap
     trunc = _truncation(config, beta_e, 2)
+    if config.loss_rate == 0.0 and not all(map(math.isinf, config.ratios)):
+        raise ValueError("a finite ratio needs loss_rate > 0, or its firing rate would be 0")
     table = ResultTable(columns=["ratio", "atom", "p0"])
     for ratio in config.ratios:
         firing = None if math.isinf(ratio) else config.loss_rate / ratio

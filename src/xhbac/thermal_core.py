@@ -254,23 +254,10 @@ def gibbs_state(spectrum) -> np.ndarray:
 def beta_order(p, spectrum) -> np.ndarray:
     """Permutation sorting the slopes p_i / w_i into non-increasing order.
 
-    Returned as position -> level indices.  Keys (see `_SLOPE_SCALE`) within a
-    relative 1e-12 of each other count as tied and go to the lower original
-    index; without the tolerance an exactly thermal state would pick up a
-    noise-driven order.  Tied keys have equal slopes, up to that tolerance,
-    so the choice never changes the curve beyond it.
+    Returned as position -> level indices: the order in which `thermo_curve`
+    lays out its elbows (see `_beta_rank`).
     """
-    p = as_population(p, len(spectrum.levels))
-    keys = p / (spectrum._boltzmann * _SLOPE_SCALE)
-    order = np.argsort(-keys, kind="stable")
-    ranked = keys[order]
-    out = np.empty_like(order)
-    start = 0
-    for i in range(1, p.size + 1):
-        if i == p.size or ranked[i] < ranked[start] * (1.0 - 1e-12):
-            out[start:i] = np.sort(order[start:i])
-            start = i
-    return out
+    return np.array(_beta_rank(_population_row(p, len(spectrum.levels)), spectrum), dtype=np.intp)
 
 
 def _as_permutation(perm, dim: int) -> np.ndarray:
@@ -302,17 +289,26 @@ class ThermoCurve:
         return _curve_heights(xs, self.xs, self.ys)
 
 
+def _beta_rank(p: list[float], spectrum) -> list[int]:
+    """Levels of one validated row in beta-order: a stable sort on the keys (see `_SLOPE_SCALE`).
+
+    Equal keys keep the lower level index first.  A float key misorders two
+    levels only when their exact slopes lie within one rounding of each other.
+    """
+    w = spectrum._boltzmann_floats
+    return sorted(range(len(p)), key=lambda i: -p[i] / (w[i] * _SLOPE_SCALE))
+
+
 def _row_elbows(p: list[float], spectrum) -> tuple[list[float], list[float]]:
     """Elbows (xs, ys) of the curve of one validated row, as d+1 plain floats each.
 
-    xs and ys are the cumulative Boltzmann weight and population in beta-order,
-    from 0.  On rows this short, a Python loop beats numpy's per-call cost and
-    gives the same bits: a stable sort on the same keys (see `_SLOPE_SCALE`),
-    and each elbow adds to the one before it, in `np.cumsum`'s order.
+    xs and ys are the cumulative Boltzmann weight and population in `_beta_rank`
+    order, from 0, each elbow added to the one before it as `np.cumsum` adds:
+    on rows this short a Python loop gives numpy's bits at less per-call cost.
     """
     w = spectrum._boltzmann_floats
     xs, ys = [0.0], [0.0]
-    for i in sorted(range(len(p)), key=lambda i: -p[i] / (w[i] * _SLOPE_SCALE)):
+    for i in _beta_rank(p, spectrum):
         xs.append(xs[-1] + w[i])
         ys.append(ys[-1] + p[i])
     return xs, ys

@@ -49,7 +49,7 @@ TRUNC = FockTruncation.thermal(1.0, 60)
 
 def test_truncation_tail_and_headroom():
     trunc = FockTruncation.thermal(1.0, 60)
-    assert trunc.tail_bound == pytest.approx(math.exp(-61.0))
+    assert trunc.tail_bound == pytest.approx(math.exp(-61.0), abs=0)
     auto = FockTruncation.for_rounds(1.0, 20)
     assert math.exp(-(auto.n_max - 20 + 1)) <= 1e-12
     with pytest.raises(ValueError):
@@ -68,10 +68,42 @@ def test_mode_populations_refuse_non_finite_entries(t):
         ModePopulations(t)
 
 
-def test_thermal_mode_deficit_matches_the_tail():
-    mode = ModePopulations.thermal(1.0, 40)
-    assert mode.deficit == pytest.approx(math.exp(-41.0), rel=1e-9)
-    assert np.all(mode.t > 0)
+@pytest.mark.parametrize("beta_e, n_max", [(0.1, 40), (0.3, 30), (1.0, 40), (1e-12, 5)])
+def test_thermal_mode_is_the_gibbs_state_on_the_truncated_ladder(beta_e, n_max):
+    mode = ModePopulations.thermal(beta_e, n_max)
+    weights = np.exp(-beta_e * np.arange(n_max + 1))
+    assert mode.t == pytest.approx(weights / weights.sum(), rel=1e-12, abs=0)
+    assert abs(mode.deficit) <= 1e-15  # the tail beyond n_max is counted once, in tail_bound
+
+
+@pytest.mark.parametrize("beta_e", [0.0, -1.0, math.nan])
+def test_thermal_mode_refuses_a_non_positive_beta_e(beta_e):
+    with pytest.raises(ValueError, match="beta_e > 0"):
+        ModePopulations.thermal(beta_e, 10)
+
+
+def test_truncated_series_lie_within_the_declared_tail():
+    # fresh modes renormalized on the ladder: cutting it at n_max moves the
+    # atom stream and the reused cavity by less than the thermal tail that
+    # FockTruncation declares, where a tail cut at every fresh mode
+    # compounded to several times that (6.0e-4 against 9.1e-5)
+    beta_e, short, tall = 0.3, 30, 60
+    spectrum = EnergySpectrum((0.0, 1.0), beta_e)
+    tail = FockTruncation.thermal(beta_e, short).tail_bound
+    stream = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e, firing_rate=1.0)
+    reuse = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+    runs = [lambda trunc: atom_stream_sim(stream, 10, 1.0, trunc, spectrum)]
+    runs += [lambda trunc, wait=wait: jc_reuse_trace(0.5, 1.0, wait, reuse, trunc, spectrum, 10)
+             for wait in (1.0, math.inf)]
+    for run in runs:
+        cut, full = (run(FockTruncation.thermal(beta_e, n)) for n in (short, tall))
+        assert np.max(np.abs(cut - full)) <= tail
+    # a hot mode on a short ladder: tail 1.7e-2, where the old start moved fig8's reset row by 0.16
+    spectrum = EnergySpectrum((0.0, 1.0), 0.1)
+    reuse = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=0.1)
+    cut, full = (jc_reuse_trace(0.5, 1.0, math.inf, reuse, FockTruncation.thermal(0.1, n), spectrum, 20)
+                 for n in (40, 200))
+    assert np.max(np.abs(cut - full)) <= FockTruncation.thermal(0.1, 40).tail_bound
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +196,12 @@ def test_anharmonic_table_anchors_at_zero_and_guards_gaps():
 def test_anharmonic_table_refuses_non_finite_inputs(gap, tau):
     with pytest.raises(ValueError, match="finite"):
         anharmonic_level_table(gap, tau, 5)
+
+
+@pytest.mark.parametrize("gap", [0.0, -1.0])
+def test_anharmonic_table_refuses_a_non_positive_gap(gap):
+    with pytest.raises(ValueError, match="positive"):
+        anharmonic_level_table(gap, 0.05, 5)
 
 
 def test_anharmonic_sums_refuse_a_non_finite_distortion():

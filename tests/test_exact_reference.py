@@ -27,9 +27,9 @@ from xhbac.thermal_core import BASE_TOLERANCE, CURVE_RTOL
 #: at most 5 terms and each height one interpolation; the largest distance seen
 #: over 5,000 drawn cases was 3.4 ulps.
 HEIGHT_ULPS = 8
-#: Relative spread of the beta-order keys that `beta_order` treats as tied,
-#: plus rounding: a level placed later never has an exact key larger than this.
-ORDER_RTOL = Fraction(2e-12)
+#: Rounding of two float beta-order keys, each within half an ulp of the exact
+#: p_i / w_i: a level placed later never has an exact key larger than this.
+ORDER_RTOL = Fraction(2**-51)
 
 
 def exact_keys(p, spectrum) -> list[Fraction]:

@@ -317,7 +317,8 @@ def test_cli_usage_errors(capsys, tmp_path):
     for bad in ("fig8 t_int=nan", "fig5 g=nan", "fig7 s_star=nan", "fig5 beta=nan",
                 "fig8 loss_rate=nan", "fig5 ratios=inf,nan", "fig5 ratios=0",
                 "fig8 rounds=-1", "fig3 rounds=-1", "fig7 p0=1.5", "fig8 t_th_grid=-1",
-                "fig7 n_max=-1", "fig5 n_atoms=0", "fig5 loss_rate=-1",
+                "fig7 n_max=-1", "fig5 n_atoms=0", "fig5 loss_rate=-1", "fig5 loss_rate=0",
+                "fig9 loss_rate=0",
                 "fig3 n_ancillas=4", "fig3 levels=0,1,2", "fig3 levels=1,0",
                 "fig3 levels=0,0", "fig3 beta=-1", "fig3 beta=0", "fig3 beta_grid=-1",
                 "fig5 g=-1"):

@@ -104,37 +104,39 @@ def test_beta_order_examples():
     flat = EnergySpectrum((0.0, 0.0, 0.0), 1.0)
     assert beta_order([0.5, 0.3, 0.2], flat).tolist() == [0, 1, 2]
 
+    # a thermal state's keys p_i / w_i agree up to rounding, and their float
+    # values decide the order, as they decide the order of the curve's elbows
     spectrum = EnergySpectrum((0.0, 0.4, 1.1), 0.7)
-    assert beta_order(gibbs_state(spectrum), spectrum).tolist() == [0, 1, 2]
+    assert beta_order(gibbs_state(spectrum), spectrum).tolist() == [1, 2, 0]
 
     qubit = EnergySpectrum((0.0, 1.0), 1.0)
     assert beta_order([0.2, 0.8], qubit).tolist() == [1, 0]
 
-
-def test_beta_order_groups_keys_within_the_tie_tolerance(rng):
-    # reference: group keys within a relative 1e-12 of the group's first key,
-    # each group in ascending level index (the rule beta_order documents)
-    def grouped(p, spectrum):
-        e = np.asarray(spectrum.levels)
-        keys = p * np.exp(spectrum.beta * (e - e.max()))
-        order = np.argsort(-keys, kind="stable")
-        out, start = [], 0
-        for i in range(1, p.size + 1):
-            if i == p.size or keys[order[i]] < keys[order[start]] * (1.0 - 1e-12):
-                out.extend(sorted(order[start:i]))
-                start = i
-        return out
-
-    for d in (2, 3, 5):
-        for degenerate in (False, True):
-            spectrum = random_spectrum(rng, d)
-            if degenerate:
-                spectrum = EnergySpectrum((0.0,) * d, spectrum.beta)
-            for p in (rng.dirichlet(np.ones(d)), gibbs_state(spectrum), np.eye(d)[d - 1]):
-                assert beta_order(p, spectrum).tolist() == grouped(p, spectrum)
-    # keys 1e-14 apart, ascending by level: tied, so the order stays by index
+    # keys 1e-15 apart, ascending by level: the largest key goes first, and
+    # only exactly equal keys keep the lower level first
     p = np.array([1.0 / 3.0 - 1e-15, 1.0 / 3.0, 1.0 / 3.0 + 1e-15])
-    assert beta_order(p, EnergySpectrum((0.0, 0.0, 0.0), 1.0)).tolist() == [0, 1, 2]
+    assert beta_order(p, flat).tolist() == [2, 1, 0]
+    assert beta_order([0.25, 0.5, 0.25], flat).tolist() == [1, 0, 2]
+
+
+def test_beta_order_is_the_order_of_the_curve_elbows(rng):
+    # the cumulative weights and populations in beta_order are the curve's
+    # elbows, bit for bit, so a beta-permutation built from beta_order(p)
+    # touches the curve that thermo_curve(p) draws
+    for d in (2, 3, 5, 7):
+        for kind in ("gibbs", "degenerate", "random"):
+            for _ in range(20):
+                spectrum = random_spectrum(rng, d, beta_hi=8.0)
+                if kind == "degenerate":
+                    j = int(rng.integers(1, d))
+                    levels = list(spectrum.levels)
+                    levels[j] = levels[j - 1]
+                    spectrum = EnergySpectrum(tuple(levels), spectrum.beta)
+                p = rng.dirichlet(np.ones(d)) if kind == "random" else gibbs_state(spectrum)
+                order = beta_order(p, spectrum)
+                curve = thermo_curve(p, spectrum)
+                assert np.cumsum(spectrum._boltzmann[order]).tobytes() == curve.xs[1:].tobytes()
+                assert np.cumsum(p[order]).tobytes() == curve.ys[1:].tobytes()
 
 
 def test_beta_order_dimension_mismatch():
