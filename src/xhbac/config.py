@@ -2,11 +2,14 @@
 
 Unknown keys are rejected so a typo cannot silently fall back to a default,
 and a JSON value of the wrong type is rejected rather than passed on.  NaN
-anywhere, an infinite scalar, an angle window that no scan can cover and a
-value outside its figure's domain are rejected on construction; inf inside
-`ratios` and `t_th_grid` means full reset.  Flag overrides always win over
-the file.  Only model settings live here: where a table goes is the
-`--out` flag of `xhbac figure`, not a config field.
+anywhere, an infinite scalar, an angle window that no scan can cover, a
+negative or infinite timing error and the other rules of `__post_init__` are
+rejected on construction; inf inside `ratios` and `t_th_grid` means full
+reset.  A value outside one figure's domain, such as `n_ancillas=5` (fig3),
+`g=-1` (fig5, fig8) or `beta=-1`, is refused only when that figure runs; either
+way `xhbac figure` exits 2.  Flag overrides always win over the file.  Only
+model settings live here: where a table goes is the `--out` flag of `xhbac
+figure`, not a config field.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ class ExperimentConfig:
         rules = [
             (self.s_lo < self.s_hi, f"need s_lo < s_hi, got [{self.s_lo}, {self.s_hi}]"),
             (self.s_grid > 0.0, f"s_grid must be positive, got {self.s_grid}"),
+            (all(0.0 <= d < math.inf for d in self.s_errors),
+             f"s_errors must be finite and non-negative, got {self.s_errors}"),
             (all(r > 0.0 for r in self.ratios), f"ratios must be positive, got {self.ratios}"),
             (all(t >= 0.0 for t in self.t_th_grid),
              f"t_th_grid must be non-negative, got {self.t_th_grid}"),

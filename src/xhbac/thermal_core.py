@@ -261,7 +261,10 @@ def beta_order(p, spectrum) -> np.ndarray:
 
 
 def _as_permutation(perm, dim: int) -> np.ndarray:
-    arr = np.asarray(perm, dtype=int)
+    """perm as an int array; every entry must pass `_count` (no float, no bool)."""
+    if np.ndim(perm) != 1:
+        raise ValueError(f"not a permutation of range({dim}): {perm}")
+    arr = np.array([_count(i, "permutation entry") for i in perm], dtype=int)
     if arr.shape != (dim,) or not np.array_equal(np.sort(arr), np.arange(dim)):
         raise ValueError(f"not a permutation of range({dim}): {perm}")
     return arr

@@ -57,7 +57,8 @@ def test_config_json_round_trip(tmp_path):
                                  {"levels": "0,nan"}, {"s_errors": "0.1,nan"},
                                  {"ratios": "0"}, {"ratios": "inf,-1"}, {"rounds": "-1"},
                                  {"p0": "1.5"}, {"t_th_grid": "inf,-0.5"}, {"n_max": "-1"},
-                                 {"n_atoms": "0"}, {"loss_rate": "-1"}])
+                                 {"n_atoms": "0"}, {"loss_rate": "-1"}, {"s_errors": "-3"},
+                                 {"s_errors": "0.1,-0.2"}, {"s_errors": "inf"}])
 def test_config_rejects_bad_angle_windows(bad, tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig().with_overrides(bad)
@@ -321,7 +322,7 @@ def test_cli_usage_errors(capsys, tmp_path):
                 "fig9 loss_rate=0",
                 "fig3 n_ancillas=4", "fig3 levels=0,1,2", "fig3 levels=1,0",
                 "fig3 levels=0,0", "fig3 beta=-1", "fig3 beta=0", "fig3 beta_grid=-1",
-                "fig5 g=-1"):
+                "fig5 g=-1", "fig7 s_errors=-3", "fig7 s_errors=inf"):
         fig_id, setting = bad.split()
         assert main(["figure", fig_id, "--set", setting]) == 2
     # a cutoff headroom, a reservoir occupation and an RK4 step that overflow or underflow

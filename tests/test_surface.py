@@ -4,6 +4,8 @@ import importlib
 import inspect
 import os
 import pkgutil
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -52,10 +54,41 @@ CRITERION_KEYS = {
 
 
 def test_public_surface_is_the_declared_one():
-    exported = {name for name, value in vars(xhbac).items()
-                if not name.startswith("_") and not inspect.ismodule(value)}
-    assert exported == PUBLIC_NAMES
+    # the package binds a name only once it is read, so the surface is what dir() lists
+    exported = [name for name in dir(xhbac) if not name.startswith("_")]
+    assert not any(inspect.ismodule(getattr(xhbac, name)) for name in exported)
+    assert set(exported) == PUBLIC_NAMES
+    assert set(xhbac.__all__) == PUBLIC_NAMES
     assert set(cli.QUERY_OPS) == QUERY_OPS
+
+
+_LOADED_LAYERS = (
+    "import sys; {statement}; "
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('xhbac.'))))"
+)
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import xhbac", set()),
+    ("from xhbac import thermal_core, protocols", {"thermal_core", "protocols"}),
+    ("from xhbac import EnergySpectrum, optimal_round", {"thermal_core", "protocols"}),
+    ("from xhbac import run_figure", {"thermal_core", "protocols", "bosonic_sim", "config",
+                                      "results", "figures"}),
+])
+def test_layers_load_on_first_use(statement, loaded):
+    env = {**os.environ, "PYTHONPATH": str(Path(xhbac.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", _LOADED_LAYERS.format(statement=statement)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert set(out.split()) == {f"xhbac.{name}" for name in loaded}
+
+
+def test_submodules_still_import_by_name():
+    from xhbac import bosonic_sim, figures
+    assert inspect.ismodule(bosonic_sim) and inspect.ismodule(figures)
+    assert xhbac.bosonic_sim is bosonic_sim
+    assert xhbac.run_figure is figures.run_figure
+    with pytest.raises(AttributeError):
+        xhbac.no_such_name
 
 
 def test_criterion_keys_are_the_declared_ones(monkeypatch):

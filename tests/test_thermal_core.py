@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -423,6 +424,8 @@ def test_beta_permutation_identity_and_swap():
     assert np.allclose(beta_permutation([0, 1], [0, 1], spectrum), np.eye(2))
     swap = beta_permutation([1, 0], [0, 1], spectrum)
     assert swap == pytest.approx(np.array([[1.0 - Q, 1.0], [Q, 0.0]]), abs=1e-15)
+    for ints in (np.array([1, 0], dtype=np.uint8), (np.int64(1), 0)):
+        assert np.array_equal(beta_permutation(ints, [0, 1], spectrum), swap)
 
 
 def test_beta_permutation_at_infinite_temperature_is_a_permutation(rng):
@@ -440,6 +443,21 @@ def test_beta_permutation_rejects_invalid_permutation():
     spectrum = EnergySpectrum((0.0, 1.0), 1.0)
     with pytest.raises(ValueError):
         beta_permutation([0, 0], [0, 1], spectrum)
+
+
+@pytest.mark.parametrize("perm", [
+    [0.0, 1.9, 2.2],  # an int cast reads this as [0, 1, 2]
+    [True, False, 2],  # and this as [1, 0, 2]
+    np.array([0.0, 1.0, 2.0]),
+    [0, 1, np.float64(2.0)],
+    [0, 1, Fraction(2)],
+])
+def test_beta_permutation_refuses_non_integer_entries(perm):
+    spectrum = EnergySpectrum((0.0, 0.5, 1.0), 1.0)
+    with pytest.raises(ValueError, match="permutation entry"):
+        beta_permutation(perm, [0, 1, 2], spectrum)
+    with pytest.raises(ValueError, match="permutation entry"):
+        beta_permutation([0, 1, 2], perm, spectrum)
 
 
 @given(pop_and_spectrum(), st.integers(0, 10**6))
