@@ -55,7 +55,6 @@ __all__ = [
     "thermal_contact_determinant",
     "to_determinant_scan",
     "markovian_best",
-    "markovian_scan",
     "ppa_trace",
 ]
 
@@ -411,27 +410,15 @@ def markovian_best(p: float, spectrum) -> float:
     """Best ground population reachable with a unitary plus one Markovian thermal contact.
 
     The contact mixes the identity with the two-level swap at weight lam up to
-    1/(1 + e^{-beta E}); the optimum either re-thermalizes fully (when the
-    input is hotter than the bath) or does nothing.  The same ceiling is
-    expected for every Markovian thermal operation; only this dephasing family
-    is exercised numerically here.
+    1/(1 + e^{-beta E}): the qubit detailed-balance semigroup maps and their
+    long-time limit, whose determinant 1 - lam (1 + e^{-beta E}) is >= 0
+    (Kingman 1962).  The optimum either re-thermalizes fully (when the input
+    is hotter than the bath) or does nothing.
     """
     _ground_population(p)
     beta_e = spectrum.beta * spectrum.gap
     thermal_ground = 1.0 / (1.0 + math.exp(-beta_e))
     return max(p, 1.0 - p, thermal_ground)
-
-
-def markovian_scan(p: float, spectrum) -> float:
-    """Grid version of markovian_best: maximize over 10,000 allowed contact weights."""
-    _ground_population(p)
-    beta_e = spectrum.beta * spectrum.gap
-    x = math.exp(-beta_e)
-    lam_cap = 1.0 / (1.0 + x)
-    q = max(p, 1.0 - p)
-    lams = np.linspace(0.0, lam_cap, 10_000)
-    s = (1.0 - lams * x) * q + lams * (1.0 - q)
-    return float(s.max())
 
 
 def ppa_trace(p0, n_ancillas: int, spectrum, rounds: int) -> ProtocolTrace:

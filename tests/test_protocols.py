@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy.linalg import expm
 from scipy.optimize import linprog
 
 from xhbac import (
@@ -32,7 +33,6 @@ from xhbac import (
     maximally_active,
     ladder_ground_population,
     markovian_best,
-    markovian_scan,
     noisy_fixed_point,
     noisy_ground_population,
     optimal_round,
@@ -840,12 +840,25 @@ def test_markovian_best_examples():
     assert markovian_best(0.5, flat) == 0.5
 
 
+@pytest.mark.parametrize("t", [0.01, 1.0, 20.0])
+@pytest.mark.parametrize("gamma", [0.3, 1.0])
+@pytest.mark.parametrize("beta_e", [0.05, 0.881, 3.0])
+def test_markovian_contact_is_the_detailed_balance_semigroup(beta_e, gamma, t):
+    # the contacts markovian_best ranges over are exp(t gamma (S - I)), S the beta-swap
+    swap = beta_swap_matrix(0, 1, EnergySpectrum((0.0, 1.0), beta_e))
+    x = math.exp(-beta_e)
+    lam = -math.expm1(-gamma * (1.0 + x) * t) / (1.0 + x)
+    closed = (1.0 - lam) * np.eye(2) + lam * swap
+    assert np.max(np.abs(closed - expm(t * gamma * (swap - np.eye(2))))) <= 1e-14
+    # Kingman: the determinant is >= 0 (it rounds to 0 once e^{-gamma (1+x) t} does)
+    assert lam <= 1.0 / (1.0 + x) and np.linalg.det(closed) >= 0.0
+
+
 _QUBIT = EnergySpectrum((0.0, 1.0), 1.0)
 _TRUNC = FockTruncation.thermal(1.0, 40)
 _CAVITY = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
 GROUND_POPULATION_CALLS = {
     "markovian_best": lambda p: markovian_best(p, _QUBIT),
-    "markovian_scan": lambda p: markovian_scan(p, _QUBIT),
     "ideal_ground_population": lambda p: ideal_ground_population(3, 1.0, p),
     "ladder_ground_population": lambda p: ladder_ground_population(
         2, EnergySpectrum((0.0, 1.0, 2.0), 1.0), p),
@@ -934,18 +947,6 @@ BETA_E_CALLS = {
 def test_negative_or_nan_beta_e_is_refused(name, beta_e):
     with pytest.raises(ValueError, match="beta"):
         BETA_E_CALLS[name](beta_e)
-
-
-def test_markovian_scan_never_beats_the_bath(rng):
-    for _ in range(20):
-        beta_e = float(rng.uniform(0.1, 3.0))
-        spectrum = EnergySpectrum((0.0, 1.0), beta_e)
-        thermal_ground = 1.0 / (1.0 + math.exp(-beta_e))
-        p = float(rng.uniform(0.5, thermal_ground))
-        assert markovian_scan(p, spectrum) <= thermal_ground + 1e-12
-        assert markovian_scan(p, spectrum) == pytest.approx(
-            markovian_best(p, spectrum), abs=1e-9
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     # protocols
     "DeterminantScan", "OracleRound", "ProtocolTrace", "beta_swap_matrix",
     "epsilon_noisy_trace", "epsilon_threshold", "ideal_ground_population",
-    "ladder_ground_population", "markovian_best", "markovian_scan", "noisy_fixed_point",
+    "ladder_ground_population", "markovian_best", "noisy_fixed_point",
     "noisy_ground_population", "optimal_round", "oracle_optimal_round", "ppa_trace",
     "qudit_ladder_round", "run_ladder_protocol", "run_optimal_protocol",
     "thermal_contact_determinant", "to_determinant_scan",
