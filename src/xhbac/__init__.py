@@ -1,9 +1,11 @@
 """Numerical laboratory for heat-bath algorithmic cooling with optimal thermalization.
 
-Each public name lives in one layer module, listed in `_LAYERS`.  A layer is
-imported the first time one of its names is read (PEP 562), so a caller of
-`thermal_core` or `protocols` alone never loads the Fock-space simulator or
-the experiment layer.
+Each public name lives in one layer module.  `_LAYERS` is the one list of
+public names: it builds `__all__`, `__dir__` and the lazy import, and no
+layer module declares an `__all__` of its own.  A layer is imported the
+first time one of its names is read (PEP 562), so a caller of `thermal_core`
+or `protocols` alone never loads the Fock-space simulator or the experiment
+layer.
 """
 
 import importlib

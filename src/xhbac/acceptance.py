@@ -412,12 +412,11 @@ def criterion_atom_stream(seed: int = 0):
     eps = 1.0 - jc_deexcitation(t_int, spectrum, trunc)
     target = noisy_ground_population(2, eps, beta_e, thermal_ground)
 
-    reset = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e, firing_rate=None)
-    finals = atom_stream_sim(reset, 10, t_int, trunc, spectrum)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+    finals = atom_stream_sim(params, 10, t_int, math.inf, trunc, spectrum)
     reset_dev = float(np.max(np.abs(finals - target)))
 
-    finite = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e, firing_rate=1.0)
-    finals_finite = atom_stream_sim(finite, 70, t_int, trunc, spectrum)
+    finals_finite = atom_stream_sim(params, 70, t_int, 1.0, trunc, spectrum)
     settle = float(np.max(np.abs(finals_finite[50:] - finals_finite[-1])))
     ok = reset_dev <= 1e-8 and settle <= 1e-6
     return ok, (f"full-reset deviation {reset_dev:.2e} (tol 1e-8), "

@@ -34,28 +34,6 @@ import numpy as np
 
 from .thermal_core import _BATCH_ELEMENTS, _beta_e, _count, _ground_population
 
-__all__ = [
-    "FockTruncation",
-    "ModePopulations",
-    "JointDiagState",
-    "CavityParams",
-    "InteractionTime",
-    "anharmonic_level_table",
-    "u_beta_apply",
-    "pauli_x",
-    "reuse_protocol_trace",
-    "anharmonic_cooling_sums",
-    "jc_deexcitation",
-    "optimize_interaction_time",
-    "upper_bound_G",
-    "asymptotic_upper_bound",
-    "rethermalize_mode",
-    "jc_round",
-    "intensity_dependent_jc_round",
-    "atom_stream_sim",
-    "jc_reuse_trace",
-]
-
 
 @dataclass(frozen=True)
 class FockTruncation:
@@ -130,6 +108,8 @@ class ModePopulations:
     def thermal(cls, beta_e: float, n_max: int) -> "ModePopulations":
         if not beta_e > 0.0:  # (1 - q) q^n / (1 - q^{n_max+1}) is 0/0 at q = e^{-beta_e} = 1
             raise ValueError(f"need beta_e > 0 for a thermal mode, got {beta_e}")
+        if _count(n_max, "n_max") < 1:
+            raise ValueError(f"n_max must be at least 1, got {n_max}")
         q = math.exp(-beta_e)  # expm1 keeps 1 - q and 1 - q^{n_max+1} accurate at small beta_e
         return cls(t=math.expm1(-beta_e) * q ** np.arange(n_max + 1) / math.expm1(-beta_e * (n_max + 1)))
 
@@ -238,8 +218,10 @@ def jc_deexcitation(s, spectrum, trunc: FockTruncation):
     """De-excitation probability of the resonant exchange coupling at angle s.
 
     Evaluates (1 - e^{-bE}) sum_{n>=1} sin^2(s sqrt(n)) e^{-bE (n-1)} truncated
-    at n_max; the neglected weight is bounded by trunc.tail_bound.  Accepts a
-    scalar or an array of angles; a NaN or infinite angle raises ValueError.
+    at n_max.  The sectors past n_max hold mode levels n_max and up, so the
+    neglected weight is at most e^{-bE n_max}, e^{bE} times trunc.tail_bound;
+    some angles come within 1% of it.  Accepts a scalar or an array of
+    angles; a NaN or infinite angle raises ValueError.
     Each angle's terms are summed on their own, so its value does not depend
     on the shape of the call it arrives in.
     """
@@ -479,22 +461,18 @@ def asymptotic_upper_bound(beta_bar):
 
 @dataclass(frozen=True)
 class CavityParams:
-    """Exchange coupling g, photon loss rate, reservoir occupation and firing rate."""
+    """Exchange coupling g, photon loss rate and reservoir occupation of one cavity."""
 
     g: float
     loss_rate: float
     nbar: float
-    firing_rate: float | None = None
 
     def __post_init__(self) -> None:
         if not all(0.0 <= value < math.inf for value in (self.g, self.loss_rate, self.nbar)):
             raise ValueError("cavity parameters must be finite and non-negative")
-        if self.firing_rate is not None and not self.firing_rate >= 0:
-            raise ValueError("firing rate must be non-negative")
 
     @classmethod
-    def resonant(cls, g: float, loss_rate: float, beta_e: float,
-                 firing_rate: float | None = None) -> "CavityParams":
+    def resonant(cls, g: float, loss_rate: float, beta_e: float) -> "CavityParams":
         """Cavity whose reservoir occupation is the Bose factor at beta * E = beta_e."""
         if not beta_e > 0:
             raise ValueError(f"need beta_e > 0 for a finite reservoir occupation, got {beta_e}")
@@ -504,7 +482,7 @@ class CavityParams:
             nbar = 0.0
         if nbar == math.inf:  # 1 / (e^{beta_e} - 1) passes the largest double below ~ 5.6e-309
             raise ValueError(f"reservoir occupation at beta_e={beta_e} overflows a double")
-        return cls(g=g, loss_rate=loss_rate, nbar=nbar, firing_rate=firing_rate)
+        return cls(g=g, loss_rate=loss_rate, nbar=nbar)
 
 
 def _rate_generator(n_levels: int, loss_rate: float, nbar: float) -> np.ndarray:
@@ -694,16 +672,17 @@ def intensity_dependent_jc_round(state: JointDiagState, s: float) -> JointDiagSt
     return _rotate_sectors(state, math.cos(s) ** 2)
 
 
-def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: FockTruncation,
-                    spectrum) -> np.ndarray:
+def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, t_wait: float,
+                    trunc: FockTruncation, spectrum) -> np.ndarray:
     """Final ground populations of thermal atoms fired through two lossy cavities.
 
     Atoms and cavities start thermal at the qubit spectrum's beta * E.  Per
-    atom: qubit flip, exchange interaction with cavity one, qubit flip,
-    exchange interaction with cavity two.  Between two atoms both cavities
-    dissipate for the interval 1/firing_rate: one product of the (2, n_max+1)
-    stack with that wait's `_relaxation_propagator` (a firing rate of None or 0
-    means the cavities fully re-thermalize between atoms).
+    atom: qubit flip, exchange interaction at angle params.g * t_int with
+    cavity one, qubit flip, the same with cavity two.  Between two atoms both
+    cavities dissipate for t_wait: one product of the (2, n_max+1) stack with
+    that wait's `_relaxation_propagator`.  An infinite t_wait fully
+    re-thermalizes the cavities between atoms; a NaN or negative t_wait, or a
+    NaN or infinite angle, raises ValueError.
 
     Each cavity is carried as its own diagonal marginal, so the model drops
     the correlations, classical and quantum, that each atom leaves between
@@ -721,13 +700,12 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
     thermal_qubit = np.array([1.0, x]) / (1.0 + x)
     fresh = np.tile(ModePopulations.thermal(beta_e, trunc.n_max).t, (2, 1))
     cavities = fresh.copy()
-    if params.firing_rate:
-        P = _relaxation_propagator(trunc.n_max + 1, params.loss_rate, params.nbar,
-                                   1.0 / params.firing_rate)
+    if t_wait != math.inf:
+        P = _relaxation_propagator(trunc.n_max + 1, params.loss_rate, params.nbar, t_wait)
     finals = np.empty(n_atoms)
     for atom in range(n_atoms):
         if atom:
-            cavities = cavities.dot(P) if params.firing_rate else fresh.copy()
+            cavities = fresh.copy() if t_wait == math.inf else cavities.dot(P)
         qubit = thermal_qubit
         for i, cavity in enumerate(cavities):
             qubit = qubit[::-1]
@@ -738,17 +716,17 @@ def atom_stream_sim(params: CavityParams, n_atoms: int, t_int: float, trunc: Foc
     return finals
 
 
-def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
+def jc_reuse_trace(p0: float, t_int: float, t_wait: float, params: CavityParams,
                    trunc: FockTruncation, spectrum, rounds: int) -> np.ndarray:
     """Ground population per round for one qubit repeatedly coupled to one cavity.
 
     The mode starts thermal at the qubit spectrum's beta * E.  Each round:
-    qubit flip, exchange interaction at angle s, then the mode dissipates for
-    t_wait while keeping its classical correlations with the qubit (one
-    product of both qubit sectors with that wait's `_relaxation_propagator`).
-    An infinite t_wait resets the mode to thermal and discards correlations;
-    any other t_wait must be finite and non-negative.  A NaN or infinite s
-    raises ValueError, even for zero rounds.
+    qubit flip, exchange interaction at angle params.g * t_int, then the mode
+    dissipates for t_wait while keeping its classical correlations with the
+    qubit (one product of both qubit sectors with that wait's
+    `_relaxation_propagator`).  An infinite t_wait resets the mode to thermal
+    and discards correlations; a NaN or negative t_wait, or a NaN or infinite
+    angle, raises ValueError, even for zero rounds.
 
     Only the joint populations are carried, so the model drops the coherence
     that each exchange creates inside each sector {|0, n>, |1, n-1>}, which
@@ -761,13 +739,13 @@ def jc_reuse_trace(p0: float, s: float, t_wait: float, params: CavityParams,
     mode = ModePopulations.thermal(spectrum.beta * spectrum.gap, trunc.n_max)
     state = JointDiagState.product([_ground_population(p0), 1.0 - p0], mode)
     ground = np.empty(_count(rounds) + 1)
-    if not math.isfinite(s):
-        raise ValueError(f"interaction angle must be finite, got {s}")
+    if not math.isfinite(params.g * t_int):
+        raise ValueError(f"interaction angle must be finite, got g={params.g}, t_int={t_int}")
     if t_wait != math.inf:
         P = _relaxation_propagator(trunc.n_max + 1, params.loss_rate, params.nbar, t_wait)
     ground[0] = state.qubit_marginal[0]
     for k in range(1, rounds + 1):
-        state = jc_round(pauli_x(state), 1.0, s)
+        state = jc_round(pauli_x(state), params.g, t_int)
         if t_wait == math.inf:
             state = JointDiagState.product(state.qubit_marginal, mode)
         else:

@@ -1,15 +1,15 @@
 """Experiment configuration: a flat dataclass loaded from JSON with flag overrides.
 
 Unknown keys are rejected so a typo cannot silently fall back to a default,
-and a JSON value of the wrong type is rejected rather than passed on.  NaN
-anywhere, an infinite scalar, an angle window that no scan can cover, a
-negative or infinite timing error and the other rules of `__post_init__` are
-rejected on construction; inf inside `ratios` and `t_th_grid` means full
-reset.  A value outside one figure's domain, such as `n_ancillas=5` (fig3),
-`g=-1` (fig5, fig8) or `beta=-1`, is refused only when that figure runs; either
-way `xhbac figure` exits 2.  Flag overrides always win over the file.  Only
-model settings live here: where a table goes is the `--out` flag of `xhbac
-figure`, not a config field.
+and a file that is not a JSON object, or a JSON value of the wrong type, is
+rejected rather than passed on.  NaN anywhere, an infinite scalar, an angle
+window that no scan can cover, a negative or infinite timing error and the
+other rules of `__post_init__` are rejected on construction; inf inside
+`ratios` and `t_th_grid` means full reset.  A value outside one figure's
+domain, such as `n_ancillas=5` (fig3), `g=-1` (fig5, fig8) or `beta=-1`, is
+refused only when that figure runs; either way `xhbac figure` exits 2.  Flag
+overrides always win over the file.  Only model settings live here: where a
+table goes is the `--out` flag of `xhbac figure`, not a config field.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {data!r}")
         unknown = set(data) - cls.field_names()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -98,13 +98,16 @@ def _fig5(config: ExperimentConfig) -> ResultTable:
     beta_e = spectrum.beta * spectrum.gap
     trunc = _truncation(config, beta_e, 2)
     if config.loss_rate == 0.0 and not all(map(math.isinf, config.ratios)):
-        raise ValueError("a finite ratio needs loss_rate > 0, or its firing rate would be 0")
+        raise ValueError("a finite ratio needs loss_rate > 0, "
+                         "or its wait between atoms would be infinite")
     table = ResultTable(columns=["ratio", "atom", "p0"])
+    params = CavityParams.resonant(g=config.g, loss_rate=config.loss_rate, beta_e=beta_e)
     for ratio in config.ratios:
-        firing = None if math.isinf(ratio) else config.loss_rate / ratio
-        params = CavityParams.resonant(g=config.g, loss_rate=config.loss_rate,
-                                       beta_e=beta_e, firing_rate=firing)
-        finals = atom_stream_sim(params, config.n_atoms, config.t_int, trunc, spectrum)
+        # the wait is one over the firing rate loss_rate / ratio; a rate of 0
+        # (an infinite ratio, or one so large that the rate underflows) fully resets
+        firing = config.loss_rate / ratio
+        t_wait = 1.0 / firing if firing else math.inf
+        finals = atom_stream_sim(params, config.n_atoms, config.t_int, t_wait, trunc, spectrum)
         for atom, value in enumerate(finals):
             table.append(float(ratio), atom, float(value))
     table.metadata["truncation"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}
@@ -137,10 +140,9 @@ def _fig8(config: ExperimentConfig) -> ResultTable:
     trunc = _truncation(config, beta_e, config.rounds)
     p0 = _initial_ground(config, spectrum)
     params = CavityParams.resonant(g=config.g, loss_rate=config.loss_rate, beta_e=beta_e)
-    s = config.g * config.t_int
     table = ResultTable(columns=["t_th", "k", "p0"])
     for t_th in config.t_th_grid:
-        trace = jc_reuse_trace(p0, s, t_th, params, trunc, spectrum, config.rounds)
+        trace = jc_reuse_trace(p0, config.t_int, t_th, params, trunc, spectrum, config.rounds)
         for k, value in enumerate(trace):
             table.append(float(t_th), k, float(value))
     table.metadata["truncation"] = {"n_max": trunc.n_max, "tail_bound": trunc.tail_bound}

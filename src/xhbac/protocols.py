@@ -36,28 +36,6 @@ from .thermal_core import (
     gibbs_state,
 )
 
-__all__ = [
-    "ProtocolTrace",
-    "OracleRound",
-    "DeterminantScan",
-    "optimal_round",
-    "oracle_optimal_round",
-    "run_optimal_protocol",
-    "beta_swap_matrix",
-    "qudit_ladder_round",
-    "run_ladder_protocol",
-    "ideal_ground_population",
-    "ladder_ground_population",
-    "noisy_fixed_point",
-    "noisy_ground_population",
-    "epsilon_threshold",
-    "epsilon_noisy_trace",
-    "thermal_contact_determinant",
-    "to_determinant_scan",
-    "markovian_best",
-    "ppa_trace",
-]
-
 
 @dataclass(frozen=True)
 class ProtocolTrace:

@@ -19,24 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "EnergySpectrum",
-    "CompositeSpec",
-    "ThermoCurve",
-    "ExtremalPointSet",
-    "GibbsStochasticCheck",
-    "as_population",
-    "gibbs_state",
-    "beta_order",
-    "thermo_curve",
-    "thermo_majorizes",
-    "beta_permutation",
-    "extremal_points",
-    "maximally_active",
-    "beta_opt_alpha",
-    "verify_gibbs_stochastic",
-]
-
 #: Default absolute tolerance for curve comparisons and matrix verification.
 BASE_TOLERANCE = 1e-12
 #: Relative tolerance used when comparing thermo-majorization curves.

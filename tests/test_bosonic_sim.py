@@ -1,6 +1,7 @@
 """Truncated Fock-space realizations: exact swap, exchange coupling, dissipation."""
 
 import contextlib
+import dataclasses
 import math
 import sys
 import warnings
@@ -82,6 +83,12 @@ def test_thermal_mode_refuses_a_non_positive_beta_e(beta_e):
         ModePopulations.thermal(beta_e, 10)
 
 
+@pytest.mark.parametrize("n_max", [2.5, 1.0, True, 0, -1])
+def test_thermal_mode_refuses_a_cutoff_that_is_not_an_integer_of_at_least_1(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        ModePopulations.thermal(1.0, n_max)
+
+
 def test_truncated_series_lie_within_the_declared_tail():
     # fresh modes renormalized on the ladder: cutting it at n_max moves the
     # atom stream and the reused cavity by less than the thermal tail that
@@ -90,10 +97,9 @@ def test_truncated_series_lie_within_the_declared_tail():
     beta_e, short, tall = 0.3, 30, 60
     spectrum = EnergySpectrum((0.0, 1.0), beta_e)
     tail = FockTruncation.thermal(beta_e, short).tail_bound
-    stream = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e, firing_rate=1.0)
-    reuse = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
-    runs = [lambda trunc: atom_stream_sim(stream, 10, 1.0, trunc, spectrum)]
-    runs += [lambda trunc, wait=wait: jc_reuse_trace(0.5, 1.0, wait, reuse, trunc, spectrum, 10)
+    cavity = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
+    runs = [lambda trunc: atom_stream_sim(cavity, 10, 1.0, 1.0, trunc, spectrum)]
+    runs += [lambda trunc, wait=wait: jc_reuse_trace(0.5, 1.0, wait, cavity, trunc, spectrum, 10)
              for wait in (1.0, math.inf)]
     for run in runs:
         cut, full = (run(FockTruncation.thermal(beta_e, n)) for n in (short, tall))
@@ -104,6 +110,19 @@ def test_truncated_series_lie_within_the_declared_tail():
     cut, full = (jc_reuse_trace(0.5, 1.0, math.inf, reuse, FockTruncation.thermal(0.1, n), spectrum, 20)
                  for n in (40, 200))
     assert np.max(np.abs(cut - full)) <= FockTruncation.thermal(0.1, 40).tail_bound
+
+
+@pytest.mark.parametrize("beta_e, n_max", [(1.0, 10), (0.5, 20), (2.0, 5)])
+def test_deexcitation_drops_at_most_the_weight_of_the_levels_past_the_cutoff(beta_e, n_max):
+    # sectors past n_max hold mode levels n_max and up, whose weight
+    # e^{-bE n_max} is e^{bE} times tail_bound; some angles come within 1% of it
+    spectrum = EnergySpectrum((0.0, 1.0), beta_e)
+    s = np.linspace(0.0, 50.0, 5001)
+    dropped = (jc_deexcitation(s, spectrum, FockTruncation.thermal(beta_e, 400))
+               - jc_deexcitation(s, spectrum, FockTruncation.thermal(beta_e, n_max)))
+    bound = math.exp(-beta_e * n_max)
+    assert dropped.min() >= 0.0 and dropped.max() <= bound
+    assert dropped.max() >= 0.99 * bound
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +552,10 @@ def test_relaxation_rejects_bad_durations(duration):
 
 def test_cavity_params_validation():
     for bad in ({"loss_rate": -1.0}, {"g": math.nan}, {"loss_rate": math.nan},
-                {"nbar": math.nan}, {"firing_rate": math.nan}):
+                {"nbar": math.nan}):
         with pytest.raises(ValueError):
             CavityParams(**{"g": 1.0, "loss_rate": 1.0, "nbar": 0.5, **bad})
+    assert [f.name for f in dataclasses.fields(CavityParams)] == ["g", "loss_rate", "nbar"]
     for beta_e in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=beta_e)
@@ -639,8 +659,8 @@ def test_relaxation_propagator_matches_the_matmul_loop_exactly(n_levels, duratio
 
 
 def _stream(wait, n_atoms, n_max=20):
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=1.0 / wait)
-    return atom_stream_sim(params, n_atoms, 1.0, FockTruncation.thermal(1.0, n_max), QUBIT)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    return atom_stream_sim(params, n_atoms, 1.0, wait, FockTruncation.thermal(1.0, n_max), QUBIT)
 
 
 def _reuse(wait, rounds, n_max=20):
@@ -900,8 +920,8 @@ def test_dense_reference_confirms_populations_and_diagonality():
 # ---------------------------------------------------------------------------
 
 def test_atom_stream_with_full_reset_hits_the_two_round_law():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=None)
-    finals = atom_stream_sim(params, 6, 98.92, TRUNC, QUBIT)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    finals = atom_stream_sim(params, 6, 98.92, math.inf, TRUNC, QUBIT)
     thermal_ground = float(gibbs_state(QUBIT)[0])
     eps = 1.0 - jc_deexcitation(98.92, QUBIT, TRUNC)
     target = noisy_ground_population(2, eps, 1.0, thermal_ground)
@@ -909,13 +929,13 @@ def test_atom_stream_with_full_reset_hits_the_two_round_law():
 
 
 def test_atom_stream_without_losses_degrades():
-    params = CavityParams.resonant(g=1.0, loss_rate=0.0, beta_e=1.0, firing_rate=1.0)
-    finals = atom_stream_sim(params, 25, 98.92, TRUNC, QUBIT)
+    params = CavityParams.resonant(g=1.0, loss_rate=0.0, beta_e=1.0)
+    finals = atom_stream_sim(params, 25, 98.92, 1.0, TRUNC, QUBIT)
     assert finals[-1] < finals[0] - 0.05
 
 
 def test_atom_stream_matches_a_per_cavity_loop():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=1.0)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     thermal = ModePopulations.thermal(1.0, TRUNC.n_max)
     x = math.exp(-1.0)
     cavities = [thermal, thermal]
@@ -927,30 +947,37 @@ def test_atom_stream_matches_a_per_cavity_loop():
             qubit = joint.qubit_marginal
             cavities[i] = rethermalize_mode(ModePopulations(joint.mode_marginal), params, 1.0)
         expected.append(qubit[0])
-    finals = atom_stream_sim(params, 6, 98.92, TRUNC, QUBIT)
+    finals = atom_stream_sim(params, 6, 98.92, 1.0, TRUNC, QUBIT)
     assert finals == pytest.approx(expected, abs=1e-12)
 
 
 def test_atom_stream_with_finite_losses_settles():
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=1.0)
-    finals = atom_stream_sim(params, 60, 98.92, TRUNC, QUBIT)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    finals = atom_stream_sim(params, 60, 98.92, 1.0, TRUNC, QUBIT)
     assert np.max(np.abs(finals[50:] - finals[-1])) < 1e-6
     assert finals[-1] < finals[0]
 
 
 @pytest.mark.parametrize("t_int", [math.nan, math.inf])
-@pytest.mark.parametrize("firing_rate", [None, 1.0])
-def test_atom_stream_refuses_a_non_finite_interaction_time(t_int, firing_rate):
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=firing_rate)
+@pytest.mark.parametrize("t_wait", [math.inf, 1.0])
+def test_atom_stream_refuses_a_non_finite_interaction_time(t_int, t_wait):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     with pytest.raises(ValueError, match="finite"):
-        atom_stream_sim(params, 3, t_int, TRUNC, QUBIT)
+        atom_stream_sim(params, 3, t_int, t_wait, TRUNC, QUBIT)
+
+
+@pytest.mark.parametrize("t_wait", [-1.0, math.nan, -math.inf])
+def test_atom_stream_refuses_a_bad_wait(t_wait):
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
+    with pytest.raises(ValueError, match="duration"):
+        atom_stream_sim(params, 3, 98.92, t_wait, TRUNC, QUBIT)
 
 
 @pytest.mark.parametrize("n_atoms", [2.5, True, 0, -1])
 def test_atom_stream_refuses_a_bad_atom_count(n_atoms):
-    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0, firing_rate=1.0)
+    params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     with pytest.raises(ValueError):
-        atom_stream_sim(params, n_atoms, 98.92, TRUNC, QUBIT)
+        atom_stream_sim(params, n_atoms, 98.92, 1.0, TRUNC, QUBIT)
 
 
 def test_reused_cavity_with_full_reset_matches_the_noisy_law():
@@ -970,20 +997,36 @@ def test_reused_cavity_refuses_a_bad_wait_before_the_first_round(t_wait, rounds)
         jc_reuse_trace(0.5, 1.0, t_wait, params, TRUNC, QUBIT, rounds)
 
 
-@pytest.mark.parametrize("s", [math.nan, math.inf])
+@pytest.mark.parametrize("t_int", [math.nan, math.inf])
 @pytest.mark.parametrize("t_wait", [1.0, math.inf])
-def test_reused_cavity_refuses_a_non_finite_angle(s, t_wait):
+def test_reused_cavity_refuses_a_non_finite_angle(t_int, t_wait):
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     with pytest.raises(ValueError, match="finite"):
-        jc_reuse_trace(0.5, s, t_wait, params, TRUNC, QUBIT, 3)
+        jc_reuse_trace(0.5, t_int, t_wait, params, TRUNC, QUBIT, 3)
 
 
-@pytest.mark.parametrize("s", [math.nan, math.inf])
+@pytest.mark.parametrize("t_int", [math.nan, math.inf])
 @pytest.mark.parametrize("t_wait", [1.0, math.inf])
-def test_reused_cavity_refuses_a_non_finite_angle_before_the_first_round(s, t_wait):
+def test_reused_cavity_refuses_a_non_finite_angle_before_the_first_round(t_int, t_wait):
     params = CavityParams.resonant(g=1.0, loss_rate=1.0, beta_e=1.0)
     with pytest.raises(ValueError, match="finite"):
-        jc_reuse_trace(0.5, s, t_wait, params, TRUNC, QUBIT, 0)
+        jc_reuse_trace(0.5, t_int, t_wait, params, TRUNC, QUBIT, 0)
+
+
+@pytest.mark.parametrize("rounds", [0, 3])
+def test_both_series_read_the_angle_as_g_times_t_int(rounds):
+    # each factor is finite, their product is not
+    params = CavityParams.resonant(g=1e200, loss_rate=1.0, beta_e=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        jc_reuse_trace(0.5, 1e200, 1.0, params, TRUNC, QUBIT, rounds)
+    with pytest.raises(ValueError, match="finite"):
+        atom_stream_sim(params, 3, 1e200, 1.0, TRUNC, QUBIT)
+    # g = 2 at t_int = 0.5 is g = 1 at t_int = 1, bit for bit
+    fast, slow = (CavityParams.resonant(g=g, loss_rate=1.0, beta_e=1.0) for g in (2.0, 1.0))
+    assert np.array_equal(jc_reuse_trace(0.5, 0.5, 1.0, fast, TRUNC, QUBIT, rounds),
+                          jc_reuse_trace(0.5, 1.0, 1.0, slow, TRUNC, QUBIT, rounds))
+    assert np.array_equal(atom_stream_sim(fast, 3, 0.5, 1.0, TRUNC, QUBIT),
+                          atom_stream_sim(slow, 3, 1.0, 1.0, TRUNC, QUBIT))
 
 
 def test_reused_cavity_without_relaxation_oscillates():

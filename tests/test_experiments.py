@@ -85,6 +85,14 @@ def test_config_rejects_wrong_json_types(bad):
         ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"ab"', "[1]"])
+def test_cli_refuses_a_config_that_is_not_a_json_object(text, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["figure", "fig7", "--config", str(path)]) == 2
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_config_reads_json_integers_as_numbers():
     config = ExperimentConfig.from_dict({"beta": 2, "ratios": [1, 10], "rounds": 4})
     assert config == ExperimentConfig(beta=2.0, ratios=(1.0, 10.0), rounds=4)

@@ -62,6 +62,14 @@ def test_public_surface_is_the_declared_one():
     assert set(cli.QUERY_OPS) == QUERY_OPS
 
 
+def test_layers_are_the_one_list_of_public_names():
+    for info in pkgutil.iter_modules(xhbac.__path__):
+        assert "__all__" not in vars(importlib.import_module(f"xhbac.{info.name}")), info.name
+    for layer, names in xhbac._LAYERS.items():
+        for name in names:
+            assert getattr(xhbac, name).__module__ == f"xhbac.{layer}", name
+
+
 _LOADED_LAYERS = (
     "import sys; {statement}; "
     "print(' '.join(sorted(m for m in sys.modules if m.startswith('xhbac.'))))"
